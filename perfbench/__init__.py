@@ -1,0 +1,1 @@
+"""Layered performance benchmark of the simulator; see README.md."""
