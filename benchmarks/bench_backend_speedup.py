@@ -10,10 +10,13 @@ same spec in, byte-identical `RunResult` out.  This experiment charts
   reference backend's (the speedup is free, not approximate);
 * speedup -- wall-clock ratio reference/vectorized grows with instance
   size, since the numpy kernels amortize per-round overhead over the
-  whole robot population;
-* scaling -- the largest cell is where campaigns spend their time, so
-  that ratio is the one the campaign gate (E13 in
-  ``repro campaign --json``) enforces at >=5x.
+  whole robot population.
+
+No speedup is gated anywhere: E13 in ``repro campaign --json`` checks
+identity only.  The repeatable measurement is ``backend.speedup`` in
+``perfbench`` (see ``perfbench/README.md``): 5.81 on the static dense
+workload and 1.50 on the paper's random-churn workload, where snapshot
+generation rather than the engine dominates.
 """
 
 import time
@@ -61,9 +64,8 @@ def test_backend_speedup_grid(benchmark, report):
         title="E13 -- vectorized engine backend: byte-identical runs, "
         "reference/vectorized wall-clock ratio by instance size",
     )
-    # The ratio must grow with instance size (per-round numpy overhead
-    # amortizes); the hard >=5x gate on the campaign-scale cell lives in
-    # the campaign report's E13 section.
+    # Smoke check only: the vectorized backend must win on the largest
+    # cell.  The measured ratios live in perfbench's `backend.speedup`.
     assert rows[-1][4] > 1.0, rows
 
     benchmark(lambda: execute(make_spec(*CELLS[0], "vectorized")))

@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.graph.generators import random_tree
+from repro.graph.generators import (
+    add_random_chords,
+    random_spanning_tree_edges,
+    random_tree,
+)
 
 
 @dataclass
@@ -140,11 +144,11 @@ class RandomChurnDynamicGraph(DynamicGraph):
     """Oblivious random churn: a fresh random connected graph every round.
 
     Each round's graph is a random spanning tree plus ``extra_edges`` random
-    chords, with optional edge persistence: every non-tree edge of the
-    previous round survives independently with probability
-    ``persistence``.  Port labels are re-randomized every round (the model
-    gives them no cross-round meaning).  Snapshots are cached so repeated
-    queries for a round agree.
+    chords, with optional edge persistence: every edge of the previous
+    round (tree edges included) that the new tree did not already draw
+    survives independently with probability ``persistence``.  Port labels
+    are re-randomized every round (the model gives them no cross-round
+    meaning).  Snapshots are cached so repeated queries for a round agree.
     """
 
     def __init__(
@@ -167,30 +171,13 @@ class RandomChurnDynamicGraph(DynamicGraph):
 
     def _generate_next(self, rng: random.Random) -> GraphSnapshot:
         n = self._n
-        edge_set: Set[Tuple[int, int]] = set()
-        order = list(range(n))
-        rng.shuffle(order)
-        for i in range(1, n):
-            u, v = order[rng.randrange(i)], order[i]
-            edge_set.add((min(u, v), max(u, v)))
+        edge_set = random_spanning_tree_edges(n, rng)
         if self._persistence > 0.0 and self._cache:
             for edge in self._cache[-1].edges():
                 key = (edge.u, edge.v)
                 if key not in edge_set and rng.random() < self._persistence:
                     edge_set.add(key)
-        max_edges = n * (n - 1) // 2
-        budget = min(self._extra_edges, max_edges - len(edge_set))
-        attempts = 0
-        while budget > 0 and attempts < 50 * (budget + 1):
-            attempts += 1
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key in edge_set:
-                continue
-            edge_set.add(key)
-            budget -= 1
+        add_random_chords(edge_set, n, self._extra_edges, rng)
         return GraphSnapshot.from_edges(n, sorted(edge_set), rng=rng)
 
     def snapshot(
@@ -255,19 +242,7 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
             edge_set = set(self._block_tree(block))
             edge_set |= self._block_tree(block + 1)
             rng = random.Random(f"{self._seed}:round:{round_index}")
-            max_edges = self._n * (self._n - 1) // 2
-            budget = min(self._extra_edges, max_edges - len(edge_set))
-            attempts = 0
-            while budget > 0 and attempts < 50 * (budget + 1):
-                attempts += 1
-                u, v = rng.randrange(self._n), rng.randrange(self._n)
-                if u == v:
-                    continue
-                key = (min(u, v), max(u, v))
-                if key in edge_set:
-                    continue
-                edge_set.add(key)
-                budget -= 1
+            add_random_chords(edge_set, self._n, self._extra_edges, rng)
             self._cache[round_index] = GraphSnapshot.from_edges(
                 self._n, sorted(edge_set), rng=rng
             )

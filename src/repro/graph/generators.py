@@ -16,7 +16,7 @@ to a connected graph of empty nodes.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.snapshot import GraphSnapshot
 
@@ -162,20 +162,33 @@ def random_tree(n: int, rng: random.Random) -> GraphSnapshot:
     return _snapshot(n, edges, rng)
 
 
-def random_connected_graph(
-    n: int, extra_edges: int, rng: random.Random
-) -> GraphSnapshot:
-    """A random connected graph: random spanning tree plus ``extra_edges``
-    distinct random non-tree edges (fewer if the graph saturates)."""
-    if n < 1:
-        raise ValueError("graph needs n >= 1")
-    edge_set = set()
+def random_spanning_tree_edges(
+    n: int, rng: random.Random
+) -> Set[Tuple[int, int]]:
+    """The ``(min, max)`` edge set of a random spanning tree on ``0..n-1``:
+    nodes are shuffled and each attaches to a uniformly drawn earlier one."""
+    edge_set: Set[Tuple[int, int]] = set()
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
         u = order[rng.randrange(i)]
         v = order[i]
         edge_set.add((min(u, v), max(u, v)))
+    return edge_set
+
+
+def add_random_chords(
+    edge_set: Set[Tuple[int, int]],
+    n: int,
+    extra_edges: int,
+    rng: random.Random,
+) -> None:
+    """Add up to ``extra_edges`` new uniformly drawn edges to ``edge_set``.
+
+    Each draw is two ``rng.randrange(n)`` calls; self-loops and edges
+    already present are redrawn, and sampling gives up after
+    ``50 * (budget + 1)`` draws so a near-complete graph cannot spin.
+    """
     max_edges = n * (n - 1) // 2
     budget = min(extra_edges, max_edges - len(edge_set))
     attempts = 0
@@ -190,6 +203,17 @@ def random_connected_graph(
             continue
         edge_set.add(key)
         budget -= 1
+
+
+def random_connected_graph(
+    n: int, extra_edges: int, rng: random.Random
+) -> GraphSnapshot:
+    """A random connected graph: random spanning tree plus ``extra_edges``
+    distinct random non-tree edges (fewer if the graph saturates)."""
+    if n < 1:
+        raise ValueError("graph needs n >= 1")
+    edge_set = random_spanning_tree_edges(n, rng)
+    add_random_chords(edge_set, n, extra_edges, rng)
     return _snapshot(n, sorted(edge_set), rng)
 
 

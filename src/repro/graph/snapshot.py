@@ -10,6 +10,11 @@ on arrival at the other endpoint ``v``, learns the entry port (the port of
 ``v`` on the same edge).  There is no correlation between the two port
 numbers of an edge, and no correlation between the ports of consecutive
 rounds.
+
+The only stored adjacency is a port-ordered CSR table: entry ``j`` of
+``neighbors[indptr[v]:indptr[v + 1]]`` is the node behind port ``j + 1``
+of ``v``.  Every other view (port maps, the labelled edge list, BFS) is
+derived from those two flat sequences.
 """
 
 from __future__ import annotations
@@ -60,43 +65,26 @@ class PortLabeledEdge:
 class GraphSnapshot:
     """An immutable, connected-or-not, port-labelled simple graph.
 
-    Instances are normally built with :meth:`from_edges` (ports assigned
-    canonically or randomly) or :meth:`from_port_maps` (explicit ports).
-    All query methods are O(1) or O(degree).
+    Instances are built with :meth:`from_edges` (ports assigned
+    canonically or randomly) or :meth:`from_port_maps` (explicit ports);
+    both validate their input.  Queries are O(1) or O(degree).
     """
 
-    __slots__ = ("_n", "_adj_by_port", "_port_by_neighbor", "_edge_list")
+    __slots__ = ("_n", "_indptr", "_nbrs")
 
     def __init__(
-        self,
-        n: int,
-        adj_by_port: Sequence[Dict[int, int]],
-        *,
-        _skip_checks: bool = False,
+        self, n: int, indptr: Sequence[int], neighbors: Sequence[int]
     ) -> None:
-        """Build a snapshot from per-node ``{port: neighbor}`` maps.
+        """Wrap an already validated port-ordered CSR table.
 
-        Prefer the class-method constructors; this constructor validates the
-        port structure (bijective ports ``1..degree``, symmetric adjacency,
-        simple graph) unless ``_skip_checks`` is set by a trusted caller.
+        Trusted: the structure is not re-checked here.  Use the
+        class-method constructors, which validate their input.
         """
         if n <= 0:
             raise ValueError(f"graph must have at least one node, got n={n}")
-        if len(adj_by_port) != n:
-            raise ValueError(
-                f"expected {n} port maps, got {len(adj_by_port)}"
-            )
         self._n = n
-        self._adj_by_port: Tuple[Dict[int, int], ...] = tuple(
-            dict(ports) for ports in adj_by_port
-        )
-        self._port_by_neighbor: Tuple[Dict[int, int], ...] = tuple(
-            {nbr: port for port, nbr in ports.items()}
-            for ports in self._adj_by_port
-        )
-        if not _skip_checks:
-            self._check_structure()
-        self._edge_list: Tuple[PortLabeledEdge, ...] = self._build_edge_list()
+        self._indptr: Tuple[int, ...] = tuple(indptr)
+        self._nbrs: Tuple[int, ...] = tuple(neighbors)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -131,53 +119,55 @@ class GraphSnapshot:
             neighbor_lists[u].append(v)
             neighbor_lists[v].append(u)
 
-        adj_by_port: List[Dict[int, int]] = []
-        for v in range(n):
-            nbrs = sorted(neighbor_lists[v])
+        indptr = [0]
+        flat: List[int] = []
+        for nbrs in neighbor_lists:
+            nbrs.sort()
             if rng is not None:
                 rng.shuffle(nbrs)
-            adj_by_port.append({port: nbr for port, nbr in enumerate(nbrs, 1)})
-        return cls(n, adj_by_port, _skip_checks=True)
+            flat += nbrs
+            indptr.append(len(flat))
+        return cls(n, indptr, flat)
 
     @classmethod
     def from_port_maps(
         cls, n: int, adj_by_port: Sequence[Dict[int, int]]
     ) -> "GraphSnapshot":
-        """Build a snapshot from explicit ``{port: neighbor}`` maps."""
-        return cls(n, adj_by_port)
+        """Build a snapshot from explicit ``{port: neighbor}`` maps.
 
-    # ------------------------------------------------------------------
-    # Structure checks
-    # ------------------------------------------------------------------
-
-    def _check_structure(self) -> None:
-        for v, ports in enumerate(self._adj_by_port):
+        Validates the port structure: bijective ports ``1..degree``,
+        symmetric adjacency, simple graph.
+        """
+        if n <= 0:
+            raise ValueError(f"graph must have at least one node, got n={n}")
+        if len(adj_by_port) != n:
+            raise ValueError(
+                f"expected {n} port maps, got {len(adj_by_port)}"
+            )
+        indptr = [0]
+        flat: List[int] = []
+        for v, ports in enumerate(adj_by_port):
             degree = len(ports)
             if sorted(ports) != list(range(1, degree + 1)):
                 raise ValueError(
                     f"node {v}: ports must be exactly 1..{degree}, "
                     f"got {sorted(ports)}"
                 )
-            if len(set(ports.values())) != degree:
+            row = [ports[port] for port in range(1, degree + 1)]
+            if len(set(row)) != degree:
                 raise ValueError(f"node {v}: parallel edges are not allowed")
-            for nbr in ports.values():
-                if not (0 <= nbr < self._n):
+            for nbr in row:
+                if not (0 <= nbr < n):
                     raise ValueError(f"node {v}: neighbor {nbr} out of range")
                 if nbr == v:
                     raise ValueError(f"self-loop at node {v} is not allowed")
-                if v not in self._adj_by_port[nbr].values():
+                if v not in adj_by_port[nbr].values():
                     raise ValueError(
                         f"asymmetric adjacency: {v}->{nbr} has no reverse"
                     )
-
-    def _build_edge_list(self) -> Tuple[PortLabeledEdge, ...]:
-        edges = []
-        for u in range(self._n):
-            for port_u, v in self._adj_by_port[u].items():
-                if u < v:
-                    port_v = self._port_by_neighbor[v][u]
-                    edges.append(PortLabeledEdge(u, port_u, v, port_v))
-        return tuple(edges)
+            flat += row
+            indptr.append(len(flat))
+        return cls(n, indptr, flat)
 
     # ------------------------------------------------------------------
     # Queries
@@ -191,56 +181,76 @@ class GraphSnapshot:
     @property
     def num_edges(self) -> int:
         """Number of edges ``m_r``."""
-        return len(self._edge_list)
+        return len(self._nbrs) // 2
+
+    def csr(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The stored adjacency ``(indptr, neighbors)``.
+
+        ``neighbors[indptr[v]:indptr[v + 1]]`` lists ``v``'s neighbors in
+        increasing port order, so entry ``j`` of the slice is behind port
+        ``j + 1`` (ports are a bijection onto ``1..degree``).
+        """
+        return self._indptr, self._nbrs
 
     def nodes(self) -> range:
         """Iterate over node indices."""
         return range(self._n)
 
+    def _row(self, v: int) -> Tuple[int, ...]:
+        return self._nbrs[self._indptr[v]:self._indptr[v + 1]]
+
     def edges(self) -> Tuple[PortLabeledEdge, ...]:
-        """All edges with their port labels, canonical ``u < v`` order."""
-        return self._edge_list
+        """All edges with their port labels: ``u`` ascending, then
+        ``u``'s ports ascending; each edge once, with ``u < v``."""
+        return tuple(
+            PortLabeledEdge(u, port_u, v, self.port_of(v, u))
+            for u in range(self._n)
+            for port_u, v in enumerate(self._row(u), 1)
+            if u < v
+        )
 
     def degree(self, v: int) -> int:
         """Degree of node ``v`` in this snapshot."""
-        return len(self._adj_by_port[v])
+        return self._indptr[v + 1] - self._indptr[v]
 
     def max_degree(self) -> int:
         """Maximum degree of the snapshot (Delta_r in the paper)."""
-        return max(len(ports) for ports in self._adj_by_port)
+        indptr = self._indptr
+        return max(end - start for start, end in zip(indptr, indptr[1:]))
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Neighbors of ``v`` in increasing port order."""
-        ports = self._adj_by_port[v]
-        return tuple(ports[p] for p in sorted(ports))
+        return self._row(v)
 
     def ports(self, v: int) -> Tuple[int, ...]:
         """The ports of ``v``: always ``(1, ..., degree(v))``."""
-        return tuple(range(1, len(self._adj_by_port[v]) + 1))
+        return tuple(range(1, self.degree(v) + 1))
 
     def neighbor_via(self, v: int, port: int) -> int:
         """The node reached by leaving ``v`` through ``port``."""
-        try:
-            return self._adj_by_port[v][port]
-        except KeyError:
-            raise ValueError(
-                f"node {v} has no port {port} (degree {self.degree(v)})"
-            ) from None
+        start = self._indptr[v]
+        if 0 < port <= self._indptr[v + 1] - start:
+            return self._nbrs[start + port - 1]
+        raise ValueError(
+            f"node {v} has no port {port} (degree {self.degree(v)})"
+        )
 
     def port_of(self, v: int, neighbor: int) -> int:
         """The port of ``v`` on the edge towards ``neighbor``."""
+        start = self._indptr[v]
         try:
-            return self._port_by_neighbor[v][neighbor]
-        except KeyError:
+            index = self._nbrs.index(neighbor, start, self._indptr[v + 1])
+        except ValueError:
             raise ValueError(f"{neighbor} is not a neighbor of {v}") from None
+        return index - start + 1
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge of this snapshot."""
-        return v in self._port_by_neighbor[u]
+        return v in self._row(u)
 
     def port_map(self, v: int) -> Dict[int, int]:
-        """A copy of the ``{port: neighbor}`` map of ``v``."""
-        return dict(self._adj_by_port[v])
+        """A fresh ``{port: neighbor}`` map of ``v``, in port order."""
+        return dict(enumerate(self._row(v), 1))
 
     # ------------------------------------------------------------------
     # Whole-graph analysis (used by the simulator and tests, not robots)
@@ -255,8 +265,7 @@ class GraphSnapshot:
         seen[0] = True
         count = 1
         while stack:
-            v = stack.pop()
-            for nbr in self._adj_by_port[v].values():
+            for nbr in self._row(stack.pop()):
                 if not seen[nbr]:
                     seen[nbr] = True
                     count += 1
@@ -271,7 +280,7 @@ class GraphSnapshot:
         while frontier:
             nxt = []
             for v in frontier:
-                for nbr in self._adj_by_port[v].values():
+                for nbr in self._row(v):
                     if dist[nbr] < 0:
                         dist[nbr] = dist[v] + 1
                         nxt.append(nbr)
@@ -299,8 +308,7 @@ class GraphSnapshot:
             stack = [start]
             members = [start]
             while stack:
-                v = stack.pop()
-                for nbr in self._adj_by_port[v].values():
+                for nbr in self._row(stack.pop()):
                     if not seen[nbr]:
                         seen[nbr] = True
                         members.append(nbr)
@@ -327,8 +335,7 @@ class GraphSnapshot:
             stack = [start]
             members = [start]
             while stack:
-                v = stack.pop()
-                for nbr in self._adj_by_port[v].values():
+                for nbr in self._row(stack.pop()):
                     if nbr in occupied_set and nbr not in seen:
                         seen.add(nbr)
                         members.append(nbr)
@@ -342,7 +349,7 @@ class GraphSnapshot:
 
         graph = nx.Graph()
         graph.add_nodes_from(range(self._n))
-        for edge in self._edge_list:
+        for edge in self.edges():
             graph.add_edge(
                 edge.u, edge.v, ports={edge.u: edge.port_u, edge.v: edge.port_v}
             )
@@ -351,7 +358,7 @@ class GraphSnapshot:
     def relabeled_ports(self, rng: random.Random) -> "GraphSnapshot":
         """The same graph with freshly randomized port labels."""
         return GraphSnapshot.from_edges(
-            self._n, [(e.u, e.v) for e in self._edge_list], rng=rng
+            self._n, [(e.u, e.v) for e in self.edges()], rng=rng
         )
 
     # ------------------------------------------------------------------
@@ -361,12 +368,10 @@ class GraphSnapshot:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return self._n == other._n and self._adj_by_port == other._adj_by_port
+        return self._indptr == other._indptr and self._nbrs == other._nbrs
 
     def __hash__(self) -> int:
-        return hash(
-            (self._n, tuple(frozenset(p.items()) for p in self._adj_by_port))
-        )
+        return hash((self._indptr, self._nbrs))
 
     def __repr__(self) -> str:
         return f"GraphSnapshot(n={self._n}, m={self.num_edges})"

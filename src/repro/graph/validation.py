@@ -54,8 +54,9 @@ def validate_snapshot(
             f"snapshot{where} is disconnected; the 1-interval connected "
             "model requires every G_r to be connected"
         )
-    for v in snapshot.nodes():
-        degree = snapshot.degree(v)
+    indptr, _ = snapshot.csr()
+    for v, (start, end) in enumerate(zip(indptr, indptr[1:])):
+        degree = end - start
         if degree > snapshot.n - 1:
             raise GraphValidationError(
                 f"node {v}{where} has degree {degree} > n-1; "

@@ -6,9 +6,9 @@ root-path sets as dicts and dataclasses every round.  This backend keeps
 the same engine-owned ground truth but executes the hot phases on flat
 integer arrays:
 
-* the round snapshot becomes a CSR adjacency table (``indptr`` +
-  port-ordered ``neighbors``; cached per snapshot object, so static
-  graphs pay the conversion once per run);
+* the round snapshot's own port-ordered CSR table (``indptr`` +
+  ``neighbors``) becomes two int64 arrays (cached per snapshot object,
+  so static graphs pay the conversion once per run);
 * alive robots become sorted ``(node, id)`` arrays, from which per-node
   representative / multiplicity / max-id columns fall out of one
   ``lexsort``;
@@ -60,30 +60,12 @@ __all__ = [
     "VectorizedBackend",
     "label_occupied_components",
     "occupied_subgraph_edges",
-    "snapshot_to_csr",
 ]
 
 
 # ----------------------------------------------------------------------
 # Array kernels (pure functions; pinned by the kernel golden tests)
 # ----------------------------------------------------------------------
-
-
-def snapshot_to_csr(snapshot) -> Tuple[np.ndarray, np.ndarray]:
-    """A snapshot as CSR adjacency: ``(indptr, neighbors)``.
-
-    ``neighbors[indptr[v]:indptr[v + 1]]`` lists ``v``'s neighbors in
-    increasing port order, so the port of entry ``j`` of the slice is
-    ``j + 1`` (ports are a bijection onto ``1..degree``).
-    """
-    n = snapshot.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    flat: List[int] = []
-    for v in range(n):
-        nbrs = snapshot.neighbors(v)
-        indptr[v + 1] = indptr[v] + len(nbrs)
-        flat.extend(nbrs)
-    return indptr, np.asarray(flat, dtype=np.int64)
 
 
 def occupied_subgraph_edges(
@@ -477,7 +459,11 @@ class VectorizedBackend(ReferenceBackend):
             self._round = None
             return super().observe(snapshot, round_index)
         if self._csr_snapshot is not snapshot:
-            self._csr = snapshot_to_csr(snapshot)
+            indptr, neighbors = snapshot.csr()
+            self._csr = (
+                np.asarray(indptr, dtype=np.int64),
+                np.asarray(neighbors, dtype=np.int64),
+            )
             self._csr_snapshot = snapshot
         indptr, neighbors = self._csr
         positions = dict(engine._positions)

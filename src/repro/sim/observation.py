@@ -206,8 +206,7 @@ def build_info_packets(
     for node, ids in ids_at_node.items():
         neighbor_infos: List[NeighborInfo] = []
         if neighborhood_knowledge:
-            for port in snapshot.ports(node):
-                neighbor = snapshot.neighbor_via(node, port)
+            for port, neighbor in enumerate(snapshot.neighbors(node), 1):
                 neighbor_ids = ids_at_node.get(neighbor)
                 if neighbor_ids:
                     neighbor_infos.append(

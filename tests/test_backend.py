@@ -18,7 +18,6 @@ from repro.sim.backend import EngineBackend, ReferenceBackend
 from repro.sim.backend_vectorized import (
     VectorizedBackend,
     label_occupied_components,
-    snapshot_to_csr,
 )
 from repro.sim.spec import (
     ComponentSpec,
@@ -167,7 +166,7 @@ class TestLabelingKernel:
             12, extra_edges=6, seed=4
         ).snapshot(1)
         occupied = np.array([0, 1, 3, 4, 7, 9, 10], dtype=np.int64)
-        indptr, neighbors = snapshot_to_csr(snapshot)
+        indptr, neighbors = map(np.asarray, snapshot.csr())
         labels = label_occupied_components(indptr, neighbors, occupied)
         assert labels.tolist() == [0, 0, 2, 3, 0, 0, 0]
         # Agreement with the reference partition on the same round.
@@ -184,7 +183,7 @@ class TestLabelingKernel:
         import random as _random
 
         snapshot = build_family("cycle", 6, _random.Random(0))
-        indptr, neighbors = snapshot_to_csr(snapshot)
+        indptr, neighbors = map(np.asarray, snapshot.csr())
         assert label_occupied_components(
             indptr, neighbors, np.empty(0, dtype=np.int64)
         ).tolist() == []

@@ -8,11 +8,14 @@ is that it cannot happen silently, which matters for a reproduction whose
 EXPERIMENTS.md quotes concrete numbers).
 """
 
+import random
+
 from repro.adversary.star_lower_bound import StarStarAdversary
 from repro.analysis.figures import build_fig3_instance
 from repro.core.components import partition_into_components
 from repro.core.dispersion import DispersionDynamic, component_moves
 from repro.graph.dynamic import RandomChurnDynamicGraph, StaticDynamicGraph
+from repro.graph.snapshot import GraphSnapshot
 from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
 from repro.sim.observation import build_info_packets
@@ -73,3 +76,29 @@ class TestGoldenRuns:
         assert result.final_positions == {
             1: 0, 2: 2, 3: 9, 4: 1, 5: 5, 6: 8,
         }
+
+
+class TestGoldenPortLabelling:
+    EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4), (2, 4)]
+
+    def test_seeded_from_edges_port_maps(self):
+        """``from_edges(..., rng=...)`` sorts each node's neighbors and then
+        shuffles them with one ``rng.shuffle`` per node, in node order.
+        Every seeded graph process draws its port labels this way, so the
+        exact maps are pinned."""
+        snapshot = GraphSnapshot.from_edges(
+            5, self.EDGES, rng=random.Random(11)
+        )
+        assert [snapshot.port_map(v) for v in range(5)] == [
+            {1: 1, 2: 3, 3: 2},
+            {1: 4, 2: 0, 3: 2},
+            {1: 0, 2: 4, 3: 3, 4: 1},
+            {1: 2, 2: 0, 3: 4},
+            {1: 3, 2: 2, 3: 1},
+        ]
+
+    def test_seeded_labelling_ignores_input_edge_order(self):
+        shuffled = [(v, u) for u, v in reversed(self.EDGES)]
+        assert GraphSnapshot.from_edges(
+            5, shuffled, rng=random.Random(11)
+        ) == GraphSnapshot.from_edges(5, self.EDGES, rng=random.Random(11))

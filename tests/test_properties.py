@@ -82,6 +82,42 @@ def test_relabeling_preserves_structure(snapshot: GraphSnapshot, seed: int):
     ]
 
 
+@st.composite
+def port_labelled_graphs(draw, max_n=14):
+    """Any simple graph (disconnected and isolated nodes included) with a
+    seeded random port labelling."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return GraphSnapshot.from_edges(n, edges, rng=random.Random(draw(seeds)))
+
+
+@given(port_labelled_graphs())
+@settings(max_examples=80, deadline=None)
+def test_csr_views_agree(snapshot: GraphSnapshot):
+    """Every query derived from the CSR table tells the same graph."""
+    n = snapshot.n
+    assert GraphSnapshot.from_port_maps(
+        n, [snapshot.port_map(v) for v in snapshot.nodes()]
+    ) == snapshot
+    for v in snapshot.nodes():
+        for port in snapshot.ports(v):
+            target = snapshot.neighbor_via(v, port)
+            assert snapshot.port_of(v, target) == port
+            entry = snapshot.port_of(target, v)
+            assert snapshot.neighbor_via(target, entry) == v
+    for u in snapshot.nodes():
+        for v in snapshot.nodes():
+            assert snapshot.has_edge(u, v) == snapshot.has_edge(v, u)
+            assert snapshot.has_edge(u, v) == (v in snapshot.neighbors(u))
+    edges = snapshot.edges()
+    assert len(edges) == snapshot.num_edges
+    assert list(edges) == sorted(edges, key=lambda e: (e.u, e.port_u))
+    for edge in edges:
+        assert edge.u < edge.v
+        assert edge.port_v == snapshot.port_of(edge.v, edge.u)
+
+
 # ---------------------------------------------------------------------------
 # Packet / component invariants
 # ---------------------------------------------------------------------------
