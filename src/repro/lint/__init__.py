@@ -17,19 +17,19 @@ invariants that keep both true:
 * **H-rules** -- observer purity: hooks never mutate engine payloads
   (H001) and never return values (H002).
 
-``repro lint --deep`` adds the whole-program layer
-(:mod:`repro.lint.deep`): an import-resolving call graph, transitive
-nondeterminism taint paths from the deterministic core (T001),
-fork-safety checks on the runner modules (F001-F003), and a checked-in
-baseline snapshot that turns the findings into a drift gate (B001 for
-stale baseline entries).  See the "Deep analysis" section of
-``docs/static-analysis.md``.
+The whole-program families (:mod:`repro.lint.deep`) run in the same
+pass over one import-resolving call graph: transitive nondeterminism
+taint paths from the deterministic core (T001), fork-safety checks on
+the runner modules (F001-F003), the engine-phase, capture and digest
+contracts (E001-E004, M001, S001-S002) and robot-model conformance of
+every algorithm class (A001-A005).  The gate is zero findings.
 
 Violations carry per-rule codes and can be silenced inline with
 ``# reprolint: disable=CODE`` on the offending line.  Run it as
 ``repro-dispersion lint``, ``python -m repro.lint``, or through
-:func:`lint_paths` / :func:`lint_source` programmatically.  See
-``docs/static-analysis.md`` for the full rule catalogue.
+:func:`run_lint` (every rule) / :func:`lint_paths` / :func:`lint_source`
+(per-file rules) programmatically.  See ``docs/static-analysis.md`` for
+the full rule catalogue.
 """
 
 from repro.lint.engine import (
@@ -47,11 +47,7 @@ from repro.lint.reporters import (
     render_text,
     report_to_dict,
 )
-from repro.lint.deep import (
-    DeepResult,
-    render_deep_summary,
-    run_deep_analysis,
-)
+from repro.lint.deep import run_lint
 from repro.lint.rules import (
     CACHE_SCOPE,
     DETERMINISM_SCOPE,
@@ -66,7 +62,6 @@ from repro.lint.rules import (
 __all__ = [
     "CACHE_SCOPE",
     "DETERMINISM_SCOPE",
-    "DeepResult",
     "Finding",
     "LintReport",
     "PARSE_ERROR_CODE",
@@ -79,12 +74,11 @@ __all__ = [
     "lint_source",
     "path_in_scope",
     "register_rule",
-    "render_deep_summary",
     "render_json",
     "render_rule_catalogue",
     "render_text",
     "report_to_dict",
     "rule_catalogue",
-    "run_deep_analysis",
+    "run_lint",
     "select_rules",
 ]

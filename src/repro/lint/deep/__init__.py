@@ -1,6 +1,7 @@
-"""Whole-program deep analysis (``repro lint --deep``).
+"""Whole-program analysis: the rules that need every module at once.
 
-Layers, bottom to top:
+``repro lint`` runs these beside the shallow per-file rules in one pass
+(:func:`~repro.lint.deep.analysis.run_lint`).  Layers, bottom to top:
 
 * :mod:`~repro.lint.deep.modindex` -- parse every module once, index
   definitions, imports, aliases and registry dicts;
@@ -8,49 +9,23 @@ Layers, bottom to top:
   ``self.`` dispatch, re-exports and registry factories) into a
   whole-program call graph;
 * :mod:`~repro.lint.deep.taint` -- seed nondeterminism sources and
-  trace every call chain from the deterministic core to one;
+  trace every call chain from the deterministic core to one (T001);
 * :mod:`~repro.lint.deep.concurrency` -- fork-safety checks on the
-  runner modules;
+  runner modules (F001-F003);
 * :mod:`~repro.lint.deep.effects` -- per-function side-effect summaries
   (parameter mutation, global writes, I/O) propagated through the call
   graph to a fixpoint;
 * :mod:`~repro.lint.deep.contracts` -- the E/M/S contract rules
-  evaluated over those summaries (``repro lint --effects``);
+  evaluated over those summaries;
 * :mod:`~repro.lint.deep.robotmodel` -- the A rule family: robot-model
-  conformance of algorithm classes (``repro lint --robot-model``);
-* :mod:`~repro.lint.deep.cache` -- content-addressed AST cache that
-  lets repeated runs skip re-parsing unchanged modules;
-* :mod:`~repro.lint.deep.baseline` -- the accepted-fingerprint snapshot
-  that turns absolute findings into a drift gate;
-* :mod:`~repro.lint.deep.analysis` -- the drivers the CLI calls.
+  conformance of algorithm classes;
+* :mod:`~repro.lint.deep.analysis` -- the one pass the CLI calls: one
+  index, one call graph, one set of effect summaries, one report.
+
+The gate is zero findings; there is no accepted-findings snapshot.
 """
 
-from repro.lint.deep.analysis import (
-    DEEP_DEFAULT_PATHS,
-    DeepResult,
-    render_deep_summary,
-    run_deep_analysis,
-    run_effects_analysis,
-    run_robot_model_analysis,
-)
-from repro.lint.deep.baseline import (
-    BASELINE_FORMAT_VERSION,
-    BASELINE_KIND,
-    DEFAULT_BASELINE_PATH,
-    DEFAULT_EFFECTS_BASELINE_PATH,
-    DEFAULT_ROBOT_BASELINE_PATH,
-    BaselineError,
-    diff_baseline,
-    load_baseline,
-    render_baseline,
-    write_baseline,
-)
-from repro.lint.deep.cache import (
-    ANALYZER_VERSION,
-    CACHE_FORMAT_VERSION,
-    DEFAULT_CACHE_DIR,
-    ModuleCache,
-)
+from repro.lint.deep.analysis import DEEP_DEFAULT_PATHS, run_lint
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.robotmodel import check_robot_model
 from repro.lint.deep.effects import (
@@ -77,24 +52,13 @@ from repro.lint.deep.taint import (
 )
 
 __all__ = [
-    "ANALYZER_VERSION",
-    "BASELINE_FORMAT_VERSION",
-    "BASELINE_KIND",
-    "BaselineError",
-    "CACHE_FORMAT_VERSION",
     "CORE_PATHS",
     "CallGraph",
     "CallSite",
     "ClassInfo",
     "DEEP_DEFAULT_PATHS",
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_CACHE_DIR",
-    "DEFAULT_EFFECTS_BASELINE_PATH",
-    "DEFAULT_ROBOT_BASELINE_PATH",
-    "DeepResult",
     "FunctionEffects",
     "FunctionInfo",
-    "ModuleCache",
     "ModuleInfo",
     "ProjectIndex",
     "Seed",
@@ -105,16 +69,9 @@ __all__ = [
     "check_contracts",
     "check_robot_model",
     "collect_seeds",
-    "diff_baseline",
     "infer_effects",
-    "load_baseline",
     "module_name_for",
-    "render_baseline",
-    "render_deep_summary",
-    "run_deep_analysis",
-    "run_effects_analysis",
-    "run_robot_model_analysis",
+    "run_lint",
     "trace_taint_paths",
     "witness_chain",
-    "write_baseline",
 ]

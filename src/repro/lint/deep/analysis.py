@@ -1,287 +1,200 @@
-"""The whole-program drivers behind ``repro lint --deep``/``--effects``.
+"""The one ``repro lint`` pass: every rule, one report, one exit code.
 
-Glues the subsystem together: index the tree
-(:mod:`~repro.lint.deep.modindex`), build the call graph
-(:mod:`~repro.lint.deep.callgraph`), then either trace taint paths
-(:mod:`~repro.lint.deep.taint`) plus the fork-safety checks
-(:mod:`~repro.lint.deep.concurrency`) -- the ``--deep`` tier -- or
-infer effect summaries (:mod:`~repro.lint.deep.effects`) and evaluate
-the phase/hook/digest contracts (:mod:`~repro.lint.deep.contracts`) --
-the ``--effects`` tier.  Both reconcile their findings against an
-accepted baseline (:mod:`~repro.lint.deep.baseline`); each tier keeps
-its own baseline file so their drift gates are independent.
+:func:`run_lint` parses the whole-program paths once
+(:mod:`~repro.lint.deep.modindex`), builds the call graph once
+(:mod:`~repro.lint.deep.callgraph`) and infers effect summaries once
+(:mod:`~repro.lint.deep.effects`).  Everything whole-program reads that
+one graph and those summaries: the taint paths
+(:mod:`~repro.lint.deep.taint`), the fork-safety checks
+(:mod:`~repro.lint.deep.concurrency`), the E/M/S contracts
+(:mod:`~repro.lint.deep.contracts`) and the A rules
+(:mod:`~repro.lint.deep.robotmodel`).  The shallow per-file rules run
+beside them, on the index's own parse for every file it holds.
 
-The outcome is an ordinary :class:`~repro.lint.engine.LintReport`, so
-the existing text/JSON reporters and exit-code convention apply
-unchanged; what the report *contains* is only the drift -- new findings
-not in the baseline, plus ``B001`` entries for baseline fingerprints the
-tree no longer produces.  Parse failures surface as ``P001`` exactly
-like the shallow engine and are never baselined: an unparseable file
-can't be proven contract-clean.
+Each file gets one suppression table
+(:attr:`~repro.lint.deep.modindex.ModuleInfo.suppressions`), shared by
+the shallow rules, the taint seeds and the whole-program findings.  A
+file that does not parse yields exactly one ``P001``.  The outcome is an
+ordinary :class:`~repro.lint.engine.LintReport`: the gate is zero
+findings.
 """
 
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.deep.baseline import (
-    DEFAULT_BASELINE_PATH,
-    DEFAULT_EFFECTS_BASELINE_PATH,
-    DEFAULT_ROBOT_BASELINE_PATH,
-    STALE_CODE,
-    diff_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.deep.cache import ModuleCache
-from repro.lint.deep.callgraph import CallGraph, build_call_graph
+from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.effects import infer_effects
-from repro.lint.deep.modindex import ProjectIndex, build_index
+from repro.lint.deep.modindex import ModuleInfo, ProjectIndex, build_index
 from repro.lint.deep.robotmodel import check_robot_model
 from repro.lint.deep.taint import TAINT_CODE, trace_taint_paths
-from repro.lint.engine import PARSE_ERROR_CODE, LintReport, _suppressions
+from repro.lint.engine import (
+    PARSE_ERROR_CODE,
+    LintReport,
+    _is_suppressed,
+    check_module,
+    iter_python_files,
+    lint_source,
+)
 from repro.lint.findings import Finding
+from repro.lint.reporters import WHOLE_PROGRAM_RULES
+from repro.lint.rules import Rule, all_rules
 
-#: Default scan roots for a whole-program run (the analysis wants the
-#: package tree, not tests/benchmarks).
+#: Default roots of the shallow per-file rules.
+SHALLOW_DEFAULT_PATHS: Tuple[str, ...] = ("src", "tests", "benchmarks")
+
+#: Default roots of the whole-program rules (the package tree, not
+#: tests/benchmarks).
 DEEP_DEFAULT_PATHS: Tuple[str, ...] = ("src",)
 
-
-@dataclass
-class DeepResult:
-    """A whole-program run's report plus baseline reconciliation detail."""
-
-    report: LintReport
-    #: every fingerprint the tree currently produces
-    fingerprints: Set[str] = field(default_factory=set)
-    #: fingerprints reported as new (absent from the baseline)
-    new: List[str] = field(default_factory=list)
-    #: baseline fingerprints the tree no longer produces
-    stale: List[str] = field(default_factory=list)
-    #: how many findings the baseline accepted (matched, not reported)
-    accepted: int = 0
-    baseline_path: str = DEFAULT_BASELINE_PATH
-    #: whether this run rewrote the baseline (``--update-baseline``)
-    updated: bool = False
-    call_graph: Optional[CallGraph] = None
-    #: which tier produced this result (drives the summary header)
-    label: str = "deep analysis"
+PathLike = Union[str, pathlib.Path]
 
 
-def _suppressed(
-    tables: Dict[str, Dict[int, FrozenSet[str]]], finding: Finding
-) -> bool:
-    table = tables.get(finding.path)
-    if table is None:
-        return False
-    codes = table.get(finding.line)
-    if codes is None:
-        return False
-    return "*" in codes or finding.code in codes
+def _matches(code: str, selectors: Optional[Sequence[str]]) -> bool:
+    return selectors is None or any(code.startswith(s) for s in selectors)
 
 
-def _report_for(index: ProjectIndex) -> LintReport:
-    """A fresh report pre-seeded with the tree's ``P001`` parse errors."""
-    report = LintReport(
-        files_scanned=index.files_indexed + len(index.parse_errors)
+def _selection(
+    select: Optional[Iterable[str]],
+) -> Tuple[List[Rule], Set[str]]:
+    """``(per-file rules, whole-program codes)`` picked by ``select``.
+
+    Selectors are codes or code prefixes from the one catalogue; an
+    unknown selector raises ``ValueError`` so a typo fails loudly.
+    """
+    rules = all_rules()
+    program_codes = {entry[0] for entry in WHOLE_PROGRAM_RULES}
+    wanted: Optional[List[str]] = None
+    if select is not None:
+        wanted = [s.strip() for s in select if s.strip()]
+        known = {rule.info.code for rule in rules} | program_codes
+        for selector in wanted:
+            if not any(code.startswith(selector) for code in known):
+                raise ValueError(
+                    f"unknown rule selector {selector!r}; known codes: "
+                    f"{sorted(known)}"
+                )
+    return (
+        [rule for rule in rules if _matches(rule.info.code, wanted)],
+        {code for code in program_codes if _matches(code, wanted)}
+        - {PARSE_ERROR_CODE},
     )
-    for display, lineno, message in index.parse_errors:
-        report.findings.append(
-            Finding(
-                path=display,
-                line=lineno,
-                column=1,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {message}",
-            )
-        )
+
+
+def run_lint(
+    paths: Optional[Sequence[PathLike]] = None,
+    *,
+    select: Optional[Iterable[str]] = None,
+) -> LintReport:
+    """Run every selected rule over ``paths`` and merge one report.
+
+    Without ``paths`` the per-file rules scan :data:`SHALLOW_DEFAULT_PATHS`
+    and the whole-program rules :data:`DEEP_DEFAULT_PATHS`; explicit
+    paths go to both.  The module index is built only when a selected
+    rule needs it.  Missing paths raise ``FileNotFoundError``.
+    """
+    rules, codes = _selection(select)
+    report = LintReport()
+    scanned: Set[pathlib.Path] = set()
+    index: Optional[ProjectIndex] = None
+    modules: Dict[pathlib.Path, ModuleInfo] = {}
+    if codes:
+        index = build_index(paths or DEEP_DEFAULT_PATHS)
+        for module in index.modules.values():
+            modules[module.path.resolve()] = module
+        scanned.update(modules)
+
+    # The per-file pass is also what reports a parse error with its
+    # column, so it runs whenever no whole-program rule would parse.
+    linted: Set[str] = set()
+    if rules or not codes:
+        for file_path in iter_python_files(paths or SHALLOW_DEFAULT_PATHS):
+            resolved = file_path.resolve()
+            scanned.add(resolved)
+            display = file_path.as_posix()
+            module = modules.get(resolved)
+            if module is not None:
+                part = check_module(
+                    display, module.tree, module.source,
+                    module.suppressions, rules,
+                )
+            else:
+                # not indexed: outside the whole-program roots, or a
+                # parse error this reports as its one P001
+                part = lint_source(
+                    file_path.read_text(encoding="utf-8"), display,
+                    rules=rules,
+                )
+            linted.add(display)
+            report.findings.extend(part.findings)
+            report.suppressed += part.suppressed
+
+    if index is not None:
+        for display, lineno, message in index.parse_errors:
+            scanned.add(pathlib.Path(display).resolve())
+            if display not in linted:
+                report.findings.append(
+                    Finding(
+                        path=display,
+                        line=lineno,
+                        column=1,
+                        code=PARSE_ERROR_CODE,
+                        message=f"file does not parse: {message}",
+                    )
+                )
+        _check_program(index, codes, report)
+    report.files_scanned = len(scanned)
+    report.findings.sort()
     return report
 
 
-def _reconcile(
-    result: DeepResult,
-    candidates: List[Tuple[Finding, str]],
-    index: ProjectIndex,
-    baseline_path: Union[str, pathlib.Path],
-    update_baseline: bool,
-) -> DeepResult:
-    """Screen candidates, then update or diff the accepted baseline."""
-    report = result.report
+def _check_program(
+    index: ProjectIndex, codes: Set[str], report: LintReport
+) -> None:
+    """Append the selected whole-program findings to ``report``."""
+    families = {code[0] for code in codes}
+    candidates: List[Tuple[Finding, str]] = []
+    if "F" in families:
+        candidates.extend(check_fork_safety(index))
+    if families & {"T", "E", "M", "S", "A"}:
+        graph = build_call_graph(index)
+        if TAINT_CODE in codes:
+            taint = trace_taint_paths(graph)
+            report.suppressed += taint.suppressed_seeds
+            candidates.extend(
+                (
+                    Finding(
+                        path=path.root_path,
+                        line=path.site.lineno,
+                        column=path.site.col,
+                        code=TAINT_CODE,
+                        message=path.message,
+                    ),
+                    path.fingerprint,
+                )
+                for path in taint.paths
+            )
+        if families & {"E", "M", "S", "A"}:
+            summaries = infer_effects(graph)
+            if families & {"E", "M", "S"}:
+                candidates.extend(check_contracts(graph, summaries))
+            if "A" in families:
+                candidates.extend(check_robot_model(graph, summaries))
     tables = {
-        module.display_path: _suppressions(module.source)
+        module.display_path: module.suppressions
         for module in index.modules.values()
     }
-    fresh: List[Tuple[Finding, str]] = []
+    seen: Set[str] = set()
     for finding, fingerprint in candidates:
-        if _suppressed(tables, finding):
+        if finding.code not in codes:
+            continue
+        if _is_suppressed(finding, tables.get(finding.path, {})):
             report.suppressed += 1
             continue
-        if fingerprint in result.fingerprints:
-            continue  # one report per accepted-or-not identity
-        result.fingerprints.add(fingerprint)
-        fresh.append((finding, fingerprint))
-
-    if update_baseline:
-        write_baseline(baseline_path, result.fingerprints)
-        result.updated = True
-        result.accepted = len(result.fingerprints)
-        report.findings.sort()
-        return result
-
-    accepted: Set[str] = set()
-    if pathlib.Path(baseline_path).exists():
-        accepted = load_baseline(baseline_path)
-    new, stale = diff_baseline(result.fingerprints, accepted)
-    result.new = new
-    result.stale = stale
-    result.accepted = len(result.fingerprints & accepted)
-    new_set = set(new)
-    for finding, fingerprint in fresh:
-        if fingerprint in new_set:
-            report.findings.append(finding)
-    for fingerprint in stale:
-        report.findings.append(
-            Finding(
-                path=str(baseline_path),
-                line=1,
-                column=1,
-                code=STALE_CODE,
-                message=(
-                    f"stale baseline entry no longer produced by the "
-                    f"tree: {fingerprint}; re-run with "
-                    "--update-baseline to drop it"
-                ),
-            )
-        )
-    report.findings.sort()
-    return result
-
-
-def run_deep_analysis(
-    paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
-    baseline_path: Union[str, pathlib.Path] = DEFAULT_BASELINE_PATH,
-    update_baseline: bool = False,
-    cache: Optional[ModuleCache] = None,
-) -> DeepResult:
-    """Run the taint/fork-safety pass and reconcile it with its baseline.
-
-    With ``update_baseline=True`` the current fingerprints are written
-    to ``baseline_path`` and the report carries no drift findings (only
-    ``P001`` parse errors, which can never be accepted).  Otherwise a
-    missing baseline file behaves as an empty one: every fingerprint in
-    the tree is new.
-    """
-    index = build_index(paths, cache=cache)
-    graph = build_call_graph(index)
-    report = _report_for(index)
-
-    taint = trace_taint_paths(graph)
-    report.suppressed += taint.suppressed_seeds
-    candidates: List[Tuple[Finding, str]] = [
-        (
-            Finding(
-                path=path.root_path,
-                line=path.site.lineno,
-                column=path.site.col,
-                code=TAINT_CODE,
-                message=path.message,
-            ),
-            path.fingerprint,
-        )
-        for path in taint.paths
-    ]
-    candidates.extend(check_fork_safety(index))
-
-    result = DeepResult(
-        report=report,
-        baseline_path=str(baseline_path),
-        call_graph=graph,
-        label="deep analysis",
-    )
-    return _reconcile(result, candidates, index, baseline_path, update_baseline)
-
-
-def run_effects_analysis(
-    paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
-    baseline_path: Union[str, pathlib.Path] = DEFAULT_EFFECTS_BASELINE_PATH,
-    update_baseline: bool = False,
-    cache: Optional[ModuleCache] = None,
-) -> DeepResult:
-    """Run the effect-inference/contract pass against its own baseline.
-
-    Same reconciliation semantics as :func:`run_deep_analysis`, but the
-    candidates come from :func:`~repro.lint.deep.contracts.check_contracts`
-    evaluated over :func:`~repro.lint.deep.effects.infer_effects`
-    summaries, and the default baseline file is
-    ``lint-effects-baseline.json`` so the two gates drift independently.
-    """
-    index = build_index(paths, cache=cache)
-    graph = build_call_graph(index)
-    report = _report_for(index)
-
-    summaries = infer_effects(graph)
-    candidates = check_contracts(graph, summaries)
-
-    result = DeepResult(
-        report=report,
-        baseline_path=str(baseline_path),
-        call_graph=graph,
-        label="effects analysis",
-    )
-    return _reconcile(result, candidates, index, baseline_path, update_baseline)
-
-
-def run_robot_model_analysis(
-    paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
-    baseline_path: Union[str, pathlib.Path] = DEFAULT_ROBOT_BASELINE_PATH,
-    update_baseline: bool = False,
-    cache: Optional[ModuleCache] = None,
-) -> DeepResult:
-    """Run the robot-model conformance pass against its own baseline.
-
-    Same reconciliation semantics as :func:`run_deep_analysis`; the
-    candidates come from
-    :func:`~repro.lint.deep.robotmodel.check_robot_model` evaluated over
-    effect summaries, and the default baseline file is
-    ``lint-robot-baseline.json`` -- the third independent drift gate.
-    """
-    index = build_index(paths, cache=cache)
-    graph = build_call_graph(index)
-    report = _report_for(index)
-
-    summaries = infer_effects(graph)
-    candidates = check_robot_model(graph, summaries)
-
-    result = DeepResult(
-        report=report,
-        baseline_path=str(baseline_path),
-        call_graph=graph,
-        label="robot-model analysis",
-    )
-    return _reconcile(result, candidates, index, baseline_path, update_baseline)
-
-
-def render_deep_summary(result: DeepResult) -> str:
-    """A drift summary for humans (appended after the standard report).
-
-    This is what makes the CI job failure readable: the added/removed
-    fingerprints, one per line, without digging through full messages.
-    """
-    lines = [
-        f"{result.label}: {len(result.fingerprints)} finding(s) in tree, "
-        f"{result.accepted} accepted by baseline {result.baseline_path}"
-    ]
-    if result.updated:
-        lines.append(f"baseline updated: {result.baseline_path}")
-        return "\n".join(lines)
-    for fingerprint in result.new:
-        lines.append(f"  + new:   {fingerprint}")
-    for fingerprint in result.stale:
-        lines.append(f"  - stale: {fingerprint}")
-    if not result.new and not result.stale:
-        lines.append("  no drift against baseline")
-    return "\n".join(lines)
+        if fingerprint in seen:
+            continue  # one report per finding identity
+        seen.add(fingerprint)
+        report.findings.append(finding)

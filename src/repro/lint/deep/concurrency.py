@@ -16,9 +16,8 @@ three patterns quietly unsafe:
   atomicity mechanism; wrapping it in a lock adds nothing in-process and
   deadlocks a child forked while the parent held the lock.
 
-These run only inside ``repro lint --deep`` (they need no call graph,
-but they share the deep pass's baseline and reporting); shallow lint
-output is unchanged.
+They need the module index but no call graph; ``repro lint`` runs them
+with the other whole-program rules.
 """
 
 from __future__ import annotations
@@ -229,7 +228,7 @@ def check_fork_safety(
     index: ProjectIndex,
     scope: Tuple[str, ...] = FORK_SCOPE,
 ) -> List[Tuple[Finding, str]]:
-    """All F-rule findings (with baseline fingerprints) in scope."""
+    """All F-rule findings (with their fingerprints) in scope."""
     results: List[Tuple[Finding, str]] = []
     for module in index.modules.values():
         if not path_in_scope(module.display_path, scope, ()):

@@ -41,14 +41,14 @@ through local aliases, helpers, registry-dispatched factories and
 * ``S002``: a spec field never reaches ``to_dict`` at all, so two specs
   differing only in it share a digest (and a run-store entry).
 
-All findings are fingerprinted location-free for the baseline gate:
-``CODE|qualname|subject``.
+All findings carry a location-free fingerprint, ``CODE|qualname|subject``,
+so ``repro lint`` reports each identity once.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.deep.callgraph import CallGraph, _Resolver, iter_own_nodes
 from repro.lint.deep.concurrency import FORK_SCOPE
@@ -80,7 +80,7 @@ SUBMIT_METHODS = frozenset({"submit", "apply_async", "map_async"})
 def check_contracts(
     graph: CallGraph, summaries: Dict[str, FunctionEffects]
 ) -> List[Tuple[Finding, str]]:
-    """Every E/M/S finding (with baseline fingerprint) in the tree."""
+    """Every E/M/S finding (with its fingerprint) in the tree."""
     results: List[Tuple[Finding, str]] = []
     results.extend(_check_backend_phases(graph, summaries))
     results.extend(_check_observer_hooks(graph, summaries))

@@ -1,9 +1,9 @@
-"""Whole-program module indexing for the deep analysis pass.
+"""Whole-program module indexing for the ``repro lint`` pass.
 
 The per-file rules in :mod:`repro.lint` see one module at a time; the
-deep pass (``repro lint --deep``) needs to know, for *every* module in
-the analyzed tree at once, what it defines, what it imports, and what it
-re-exports -- that is the raw material the call-graph builder resolves
+whole-program rules need to know, for *every* module in the analyzed
+tree at once, what it defines, what it imports, and what it re-exports
+-- that is the raw material :mod:`~repro.lint.deep.callgraph` resolves
 names against.
 
 :func:`build_index` parses every ``*.py`` file under the given paths
@@ -26,8 +26,10 @@ exactly once and returns a :class:`ProjectIndex`:
   *registry candidates* -- the idiom :mod:`repro.sim.spec` uses for its
   component factories (``_GRAPH_FACTORIES = {}``).
 
-Files that do not parse are skipped here and reported by the analysis
-driver as ``P001`` findings, mirroring the shallow engine.
+Files that do not parse are skipped here and reported by
+:func:`~repro.lint.deep.analysis.run_lint` as ``P001`` findings, which
+also runs the per-file rules on each indexed module's tree, so a file
+is parsed (and its suppressions tokenized) once per ``repro lint`` run.
 """
 
 from __future__ import annotations
@@ -35,21 +37,10 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.lint.engine import iter_python_files
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.deep.cache import ModuleCache
+from repro.lint.engine import _suppressions, iter_python_files
 
 
 @dataclass
@@ -98,6 +89,11 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level names bound to ``{}`` / ``dict()`` (registry idiom)
     registry_dicts: Set[str] = field(default_factory=set)
+
+    @cached_property
+    def suppressions(self) -> Dict[int, FrozenSet[str]]:
+        """The module's inline-suppression table, tokenized once."""
+        return _suppressions(self.source)
 
     @property
     def package(self) -> str:
@@ -268,31 +264,19 @@ def _index_class(
             cls.methods[child.name] = method
 
 
-def build_index(
-    paths: Iterable[Union[str, pathlib.Path]],
-    cache: Optional["ModuleCache"] = None,
-) -> ProjectIndex:
-    """Parse and index every Python file under ``paths`` once.
-
-    With a :class:`~repro.lint.deep.cache.ModuleCache`, each module's
-    AST is looked up by source content hash before parsing and stored
-    after; an unchanged tree re-indexes without touching the parser.
-    """
+def build_index(paths: Iterable[Union[str, pathlib.Path]]) -> ProjectIndex:
+    """Parse and index every Python file under ``paths`` once."""
     index = ProjectIndex()
     for file_path in iter_python_files(paths):
         display = file_path.as_posix()
         source = file_path.read_text(encoding="utf-8")
-        tree = cache.load(source) if cache is not None else None
-        if tree is None:
-            try:
-                tree = ast.parse(source, filename=display)
-            except SyntaxError as error:
-                index.parse_errors.append(
-                    (display, error.lineno or 1, error.msg or "syntax error")
-                )
-                continue
-            if cache is not None:
-                cache.store(source, tree)
+        try:
+            tree = ast.parse(source, filename=display)
+        except SyntaxError as error:
+            index.parse_errors.append(
+                (display, error.lineno or 1, error.msg or "syntax error")
+            )
+            continue
         name = module_name_for(file_path)
         if name in index.modules:
             # Two files mapping to one dotted name (e.g. the same tree

@@ -21,9 +21,10 @@ matter when the iteration result flows onward:
 A seed on a line carrying the matching shallow suppression
 (``# reprolint: disable=D001`` for a wall-clock read, ``C003`` for a
 builtin hash, ...) is treated as audited and does not taint -- that is
-what keeps :mod:`repro.sim.store`'s three justified exemptions out of
-the deep baseline.  ``disable=T001`` (or a bare ``disable``) works both
-on the seed line and on the root call-site line of a reported chain.
+what keeps :mod:`repro.sim.store`'s three justified exemptions from
+resurfacing as T001 findings.  ``disable=T001`` (or a bare
+``disable``) works both on the seed line and on the root call-site line
+of a reported chain.
 
 :func:`trace_taint_paths` then runs a forward BFS from every function
 defined in the deterministic core (``sim/engine.py``,
@@ -45,7 +46,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.lint.deep.callgraph import CallGraph, CallSite, iter_own_nodes
 from repro.lint.deep.modindex import FunctionInfo, _dotted
 from repro.lint.determinism import GLOBAL_RANDOM_CALLS, WALL_CLOCK_CALLS
-from repro.lint.engine import _suppressions
 from repro.lint.rules import path_in_scope
 
 #: The deterministic core: every function defined in these modules is a
@@ -118,7 +118,7 @@ class TaintPath:
 
     @property
     def fingerprint(self) -> str:
-        """Location-free identity used by the baseline snapshot."""
+        """Location-free identity: one report per distinct path."""
         return "|".join(
             (TAINT_CODE, "->".join(self.chain), self.seed.kind,
              self.seed.detail)
@@ -250,25 +250,15 @@ class TaintResult:
     suppressed_seeds: int
 
 
-def _suppression_tables(
-    graph: CallGraph,
-) -> Dict[str, Dict[int, FrozenSet[str]]]:
-    return {
-        name: _suppressions(module.source)
-        for name, module in graph.index.modules.items()
-    }
-
-
 def trace_taint_paths(
     graph: CallGraph,
     core_paths: Tuple[str, ...] = CORE_PATHS,
 ) -> TaintResult:
     """All shortest core-to-seed call chains of length >= 1 edge."""
-    tables = _suppression_tables(graph)
     suppressed_seeds = 0
     seeded: Dict[str, List[Seed]] = {}
     for qualname, function in graph.index.functions.items():
-        table = tables.get(function.module.name, {})
+        table = function.module.suppressions
         kept: List[Seed] = []
         for seed in collect_seeds(function):
             codes = [TAINT_CODE]

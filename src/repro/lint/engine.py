@@ -1,10 +1,12 @@
-"""The lint engine: file discovery, parsing, suppressions, dispatch.
+"""The per-file lint engine: file discovery, parsing, suppressions, dispatch.
 
-:func:`lint_paths` is the whole pipeline: discover ``*.py`` files under
-the given paths, parse each once, run every selected rule whose scope
-matches, honor inline suppressions, and return a :class:`LintReport`
-whose findings are sorted by location -- the same report object both
-reporters and the CLI exit code are computed from.
+:func:`lint_paths` is the per-file pipeline: discover ``*.py`` files
+under the given paths, parse each once, run every selected rule whose
+scope matches, honor inline suppressions, and return a
+:class:`LintReport` whose findings are sorted by location -- the same
+report object both reporters and the CLI exit code are computed from.
+``repro lint`` itself runs :func:`~repro.lint.deep.analysis.run_lint`,
+which feeds :func:`check_module` the whole-program index's parse.
 
 Suppressions are inline comments on the offending line::
 
@@ -108,30 +110,20 @@ def _is_suppressed(
     return codes is _ALL_CODES or "*" in codes or finding.code in codes
 
 
-def lint_source(
+def check_module(
+    path: str,
+    tree: ast.Module,
     source: str,
-    path: str = "<string>",
-    *,
-    rules: Optional[Sequence[Rule]] = None,
+    table: Dict[int, FrozenSet[str]],
+    rules: Sequence[Rule],
 ) -> LintReport:
-    """Lint one module's source text under ``path``'s scopes."""
-    if rules is None:
-        rules = select_rules(None)
+    """Run ``rules`` over one parsed module under ``path``'s scopes.
+
+    ``table`` is the module's suppression table (see
+    :func:`_suppressions`); the whole-program pass hands in the one it
+    already built, so each file is tokenized once.
+    """
     report = LintReport(files_scanned=1)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        report.findings.append(
-            Finding(
-                path=path,
-                line=error.lineno or 1,
-                column=(error.offset or 1),
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {error.msg}",
-            )
-        )
-        return report
-    table = _suppressions(source)
     context = ModuleContext(path=path, tree=tree, source=source)
     for rule in rules:
         if not path_in_scope(path, rule.info.scopes, rule.info.exempt):
@@ -143,6 +135,32 @@ def lint_source(
                 report.findings.append(finding)
     report.findings.sort()
     return report
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    *,
+    rules: Optional[Sequence[Rule]] = None,
+) -> LintReport:
+    """Lint one module's source text under ``path``'s scopes."""
+    if rules is None:
+        rules = select_rules(None)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as error:
+        report = LintReport(files_scanned=1)
+        report.findings.append(
+            Finding(
+                path=path,
+                line=error.lineno or 1,
+                column=(error.offset or 1),
+                code=PARSE_ERROR_CODE,
+                message=f"file does not parse: {error.msg}",
+            )
+        )
+        return report
+    return check_module(path, tree, source, _suppressions(source), rules)
 
 
 def iter_python_files(

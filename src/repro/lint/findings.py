@@ -70,10 +70,10 @@ class RuleInfo:
     def category(self) -> str:
         """The rule family letter.
 
-        Shallow families: ``D`` (determinism), ``C`` (cache safety),
-        ``R`` (reducibility), ``H`` (hook discipline).  Whole-program
-        families live outside the shallow catalogue: ``T``/``F`` under
-        ``--deep`` and ``E``/``M``/``S`` under ``--effects``, plus the
-        shared ``P`` (parse) and ``B`` (baseline drift) codes.
+        Per-file families: ``D`` (determinism), ``C`` (cache safety),
+        ``R`` (registry hygiene), ``H`` (hook discipline).  The
+        whole-program families ``T``/``F``/``E``/``M``/``S``/``A`` and the
+        shared ``P`` (parse) code are listed in
+        :data:`repro.lint.reporters.WHOLE_PROGRAM_RULES`.
         """
         return self.code[:1]

@@ -117,6 +117,16 @@ class _RegistrationSites:
                 self.sites.append((registry, node, name_node, factory, None))
 
 
+def _sites(context: ModuleContext) -> _RegistrationSites:
+    """The module's registration sites, walked once for all R rules."""
+    sites = context.memo.get("registration_sites")
+    if sites is None:
+        sites = context.memo["registration_sites"] = _RegistrationSites(
+            context
+        )
+    return sites
+
+
 @register_rule
 class UnresolvableRegistryName(Rule):
     """R001: registry names must be static, grep-able constants."""
@@ -137,7 +147,7 @@ class UnresolvableRegistryName(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        sites = _RegistrationSites(context)
+        sites = _sites(context)
         for registry, call, name_node, _factory, _decorated in sites.sites:
             if registry in sites.exempt:
                 continue
@@ -184,7 +194,7 @@ class DuplicateRegistration(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        sites = _RegistrationSites(context)
+        sites = _sites(context)
         seen: Set[Tuple[str, str]] = set()
         for registry, _call, name_node, _factory, _decorated in sites.sites:
             if not (
@@ -227,7 +237,7 @@ class FactoryArityMismatch(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        sites = _RegistrationSites(context)
+        sites = _sites(context)
         for registry, _call, _name, factory, decorated in sites.sites:
             if registry in sites.exempt:
                 continue

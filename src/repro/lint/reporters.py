@@ -36,36 +36,6 @@ def render_json(report: LintReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
 
-#: Tier order in the merged ``--all`` report; keys are schema, not
-#: display names, so they stay snake_case and never change.
-ALL_TIER_KEYS = ("shallow", "deep", "effects", "robot_model")
-
-
-def all_report_to_dict(tiers: Dict[str, LintReport]) -> Dict[str, Any]:
-    """The merged ``--all`` document: one sub-report per tier.
-
-    ``ok`` is the conjunction over tiers, matching the combined exit
-    code.  Tier sub-reports are the unchanged per-tier schema, so any
-    consumer of ``reprolint_report`` can read one tier out of this
-    document without new parsing code.
-    """
-    return {
-        "kind": "reprolint_all_report",
-        "format_version": REPORT_FORMAT_VERSION,
-        "ok": all(report.ok for report in tiers.values()),
-        "tiers": {
-            key: report_to_dict(tiers[key])
-            for key in ALL_TIER_KEYS
-            if key in tiers
-        },
-    }
-
-
-def render_all_json(tiers: Dict[str, LintReport]) -> str:
-    """The merged report as canonical JSON text."""
-    return json.dumps(all_report_to_dict(tiers), indent=2, sort_keys=True)
-
-
 def render_text(report: LintReport) -> str:
     """One line per finding plus a one-line summary."""
     lines: List[str] = [finding.render() for finding in report.findings]
@@ -88,69 +58,77 @@ def render_text(report: LintReport) -> str:
     return "\n".join(lines)
 
 
-#: ``(code, name, mode, summary)`` per whole-program rule.  These run
-#: under ``--deep``/``--effects``/``--robot-model`` rather than the
-#: shallow per-file engine, so they are listed here instead of the
-#: selectable catalogue.
+#: ``(code, name, scope, summary)`` per whole-program rule.  They need
+#: the module index (and most the call graph), so they live outside the
+#: per-file :func:`~repro.lint.rules.rule_catalogue`; ``--list-rules``
+#: and ``--select`` treat both as one catalogue.
 WHOLE_PROGRAM_RULES = (
-    ("T001", "deep-taint-path", "--deep",
+    ("T001", "deep-taint-path", "sim/engine.py, sim/algorithm.py, "
+     "sim/backend*.py, sim/spec.py, sim/store.py",
      "a deterministic-core function transitively reaches a "
      "nondeterminism source"),
-    ("F001", "fork-unsafe-global", "--deep",
+    ("F001", "fork-unsafe-global", "sim/runner.py, chaos/runner.py",
      "a runner module mutates a module-level global that forked "
      "workers snapshot"),
-    ("E001", "phase-engine-mutation", "--effects",
+    ("F002", "fork-shared-file-handle", "sim/runner.py, chaos/runner.py",
+     "a runner module opens a file handle at import time, sharing its "
+     "descriptor and offset across the fork"),
+    ("F003", "lock-around-atomic-rename", "sim/runner.py, chaos/runner.py",
+     "a runner module holds a lock around os.replace/os.rename/"
+     "shutil.move staging, which deadlocks a worker forked mid-hold"),
+    ("E001", "phase-engine-mutation", "backend classes",
      "a backend phase transitively mutates engine state outside its "
      "phase allowlist"),
-    ("E002", "phase-payload-mutation", "--effects",
+    ("E002", "phase-payload-mutation", "backend classes",
      "a backend phase mutates a payload parameter that is not a "
      "documented out-parameter"),
-    ("E003", "hook-payload-mutation", "--effects",
+    ("E003", "hook-payload-mutation", "observer classes",
      "an observer on_* hook transitively mutates its payload "
      "(interprocedural H001)"),
-    ("E004", "phase-io", "--effects",
+    ("E004", "phase-io", "backend classes",
      "a backend phase performs I/O"),
-    ("M001", "mutation-after-submit", "--effects",
+    ("M001", "mutation-after-submit", "sim/runner.py, chaos/runner.py",
      "an object captured by a submitted work unit is mutated after "
      "the submission"),
-    ("S001", "digest-unstable-field", "--effects",
+    ("S001", "digest-unstable-field", "sim/spec.py",
      "a defaulted spec field is serialized unconditionally, drifting "
      "every digest"),
-    ("S002", "digest-missing-field", "--effects",
+    ("S002", "digest-missing-field", "sim/spec.py",
      "a spec field never reaches to_dict, so differing specs share a "
      "digest"),
-    ("A001", "hidden-persistent-state", "--robot-model",
+    ("A001", "hidden-persistent-state", "algorithm classes",
      "an algorithm hook writes an attribute that persistent_state() "
      "never emits (state the memory audit cannot see)"),
-    ("A002", "unbounded-declared-state", "--robot-model",
+    ("A002", "unbounded-declared-state", "algorithm classes",
      "a persistent_state() field has no bound in "
      "persistent_state_bounds(), so its bit cost is uncharged"),
-    ("A003", "observation-scope-violation", "--robot-model",
+    ("A003", "observation-scope-violation", "algorithm classes",
      "a LOCAL-communication algorithm reads a global-only Observation "
      "field"),
-    ("A004", "model-escape", "--robot-model",
+    ("A004", "model-escape", "algorithm classes",
      "decide() transitively reaches engine/graph/store internals, "
      "breaking robot anonymity"),
-    ("A005", "observation-mutation", "--robot-model",
+    ("A005", "observation-mutation", "algorithm classes",
      "a decide/detects_termination hook mutates its Observation"),
-    ("P001", "parse-error", "--deep/--effects/--robot-model",
-     "a file under analysis does not parse (never baselined)"),
-    ("B001", "stale-baseline-entry", "--deep/--effects/--robot-model",
-     "an accepted baseline fingerprint is no longer produced by the "
-     "tree"),
+    ("P001", "parse-error", "all files",
+     "a file under analysis does not parse"),
 )
 
 
 def render_rule_catalogue() -> str:
-    """The ``--list-rules`` text: code, name and summary per rule."""
+    """The ``--list-rules`` text: code, name, scope and summary per rule."""
+    entries = [
+        (
+            info.code,
+            info.name,
+            ", ".join(info.scopes) if info.scopes else "all files",
+            info.summary,
+        )
+        for info in rule_catalogue()
+    ]
+    entries.extend(WHOLE_PROGRAM_RULES)
     lines = []
-    for info in rule_catalogue():
-        scope = ", ".join(info.scopes) if info.scopes else "all files"
-        lines.append(f"{info.code}  {info.name}  [{scope}]")
-        lines.append(f"      {info.summary}")
-    lines.append("")
-    lines.append("whole-program rules (not selectable with --select):")
-    for code, name, mode, summary in WHOLE_PROGRAM_RULES:
-        lines.append(f"{code}  {name}  [{mode}]")
+    for code, name, scope, summary in sorted(entries):
+        lines.append(f"{code}  {name}  [{scope}]")
         lines.append(f"      {summary}")
     return "\n".join(lines)

@@ -23,8 +23,17 @@ the simulator's component registries in :mod:`repro.sim.spec`.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Type,
+)
 
 from repro.lint.findings import Finding, RuleInfo
 
@@ -105,6 +114,11 @@ class ModuleContext:
     path: str
     tree: ast.Module
     source: str
+    #: per-module facts several rules share, computed once (e.g. the
+    #: registry call sites the three R rules all walk for)
+    memo: Dict[str, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def dotted_name(self, node: ast.AST) -> Optional[str]:
         """The dotted form of a ``Name``/``Attribute`` chain, if it is one.

@@ -49,10 +49,10 @@ class CommunicationModel(enum.Enum):
 #: ``requires_communication = CommunicationModel.LOCAL`` must not read
 #: them -- doing so silently bakes a global-information assumption into a
 #: local-model algorithm (the split Theorems 1-2 make load-bearing).
-#: ``repro lint --robot-model`` (rule A003) enforces this statically for
+#: ``repro lint`` (rule A003) enforces this statically for
 #: every algorithm class; the table lives here, next to the governed
 #: dataclass, so adding an ``Observation`` member forces a scope decision
-#: (the lint tier's completeness test fails on any member missing here).
+#: (the lint suite's completeness test fails on any member missing here).
 OBSERVATION_FIELD_SCOPES: Dict[str, str] = {
     "robot_id": "local",
     "round_index": "local",

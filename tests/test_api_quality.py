@@ -83,8 +83,6 @@ PUBLIC_MODULES = [
     "repro.lint.cli",
     "repro.lint.deep",
     "repro.lint.deep.analysis",
-    "repro.lint.deep.baseline",
-    "repro.lint.deep.cache",
     "repro.lint.deep.callgraph",
     "repro.lint.deep.concurrency",
     "repro.lint.deep.contracts",

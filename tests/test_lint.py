@@ -4,12 +4,14 @@ Each rule family gets good/bad fixture snippets linted under synthetic
 paths (scope patterns are suffix-based, so ``<tmp>/sim/engine.py`` picks
 up the same obligations as the real file).  Beyond the rules, this file
 pins the suppression mechanics, the schema-stable JSON report, the CLI
-exit-code convention, and the self-check that the analyzer runs clean on
-the repository's own tree.
+exit-code convention, the one pass that merges per-file and
+whole-program findings, and the self-check that every rule runs clean
+on the repository's own tree.
 """
 
 import json
 import pathlib
+import re
 import textwrap
 
 import pytest
@@ -31,6 +33,7 @@ from repro.lint import (
     select_rules,
 )
 from repro.lint.cli import main as lint_main
+from repro.lint.deep import analysis, run_lint
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -639,6 +642,143 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
+# The one pass: per-file and whole-program rules, one report
+# ----------------------------------------------------------------------
+
+
+def write_tree(root, files):
+    """Write a fixture package (``__init__.py`` chain included)."""
+    for rel, source in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source).lstrip("\n"))
+        parent = path.parent
+        while parent != root:
+            (parent / "__init__.py").touch()
+            parent = parent.parent
+
+
+#: One per-file finding (D001 in the engine) and one whole-program
+#: finding (A001: hidden persistent state in an algorithm class).
+MIXED_TREE = {
+    "pkg/sim/engine.py": """
+        import time
+
+        started = time.time()
+        """,
+    "pkg/algos.py": """
+        class RobotAlgorithm:
+            def persistent_state(self, robot_id):
+                return {"id": robot_id}
+
+            def persistent_state_bounds(self, k, n):
+                return {"id": k}
+
+
+        class SneakyCounter(RobotAlgorithm):
+            def decide(self, observation):
+                self._visits = 1
+                return None
+        """,
+}
+
+
+def record_builds(monkeypatch):
+    """Wrap build_index, build_call_graph and infer_effects in the pass.
+
+    Returns ``{name: [result of each call]}``.
+    """
+    built = {"build_index": [], "build_call_graph": [], "infer_effects": []}
+    for name, results in built.items():
+        original = getattr(analysis, name)
+
+        def recorded(*args, _original=original, _results=results):
+            _results.append(_original(*args))
+            return _results[-1]
+
+        monkeypatch.setattr(analysis, name, recorded)
+    return built
+
+
+class TestOnePass:
+    def test_one_run_builds_index_graph_and_effects_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        write_tree(tmp_path, MIXED_TREE)
+        built = record_builds(monkeypatch)
+        assert lint_main([str(tmp_path)]) == 1
+        capsys.readouterr()
+        assert {name: len(results) for name, results in built.items()} == {
+            "build_index": 1,
+            "build_call_graph": 1,
+            "infer_effects": 1,
+        }
+
+    def test_merged_report_holds_per_file_and_whole_program_findings(
+        self, tmp_path, capsys
+    ):
+        write_tree(tmp_path, MIXED_TREE)
+        assert lint_main(["--json", str(tmp_path)]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["kind"] == "reprolint_report"
+        assert data["ok"] is False
+        assert data["counts"] == {"A001": 1, "D001": 1}
+        assert [
+            (pathlib.PurePath(f["path"]).name, f["code"])
+            for f in data["findings"]
+        ] == [("algos.py", "A001"), ("engine.py", "D001")]
+
+    def test_unparsable_src_file_is_one_p001(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Default roots: the file sits under ``src``, which both the
+        # per-file and the whole-program rules scan.
+        write_tree(tmp_path, {"src/pkg/broken.py": "def broken(:\n"})
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "benchmarks").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert lint_main(["--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert [(f["path"], f["code"]) for f in data["findings"]] == [
+            ("src/pkg/broken.py", PARSE_ERROR_CODE)
+        ]
+        assert data["files_scanned"] == 3  # broken.py + two __init__.py
+
+    def test_select_runs_only_the_chosen_rules(self, tmp_path):
+        write_tree(tmp_path, MIXED_TREE)
+        assert codes(run_lint([tmp_path], select=["A"])) == ["A001"]
+        assert codes(run_lint([tmp_path], select=["D001"])) == ["D001"]
+
+    def test_per_file_selection_builds_no_index(
+        self, tmp_path, monkeypatch
+    ):
+        write_tree(tmp_path, MIXED_TREE)
+        built = record_builds(monkeypatch)
+        assert codes(run_lint([tmp_path], select=["D", "C"])) == ["D001"]
+        assert built["build_index"] == []
+
+    def test_unknown_selector_is_rejected_across_the_catalogue(self):
+        with pytest.raises(ValueError, match="unknown rule selector"):
+            run_lint(["."], select=["B001"])
+
+    def test_list_rules_names_every_code_an_analyzer_emits(self, capsys):
+        emitted = set()
+        for source in (REPO / "src" / "repro" / "lint").rglob("*.py"):
+            emitted.update(
+                re.findall(
+                    r'(?:\bcode\s*=\s*|_CODE\s*=\s*)"([A-Z]\d{3})"',
+                    source.read_text(encoding="utf-8"),
+                )
+            )
+        assert {"D001", "T001", "F002", "F003", "A005", "P001"} <= emitted
+        assert lint_main(["--list-rules"]) == 0
+        listed = set(
+            re.findall(r"^([A-Z]\d{3}) ", capsys.readouterr().out, re.M)
+        )
+        assert emitted <= listed, sorted(emitted - listed)
+
+
+# ----------------------------------------------------------------------
 # Self-check: the analyzer holds on the repository's own tree
 # ----------------------------------------------------------------------
 
@@ -648,9 +788,15 @@ class TestSelfCheck:
         report = lint_paths([REPO / "src" / "repro" / "lint"])
         assert report.ok, render_text(report)
 
-    def test_whole_tree_is_clean(self):
-        report = lint_paths(
-            [REPO / "src", REPO / "tests", REPO / "benchmarks"]
-        )
+    def test_whole_tree_is_clean(self, monkeypatch):
+        # Exactly what ``repro lint`` runs at the repo root: every rule
+        # over the default roots, zero findings allowed.
+        monkeypatch.chdir(REPO)
+        built = record_builds(monkeypatch)
+        report = run_lint()
         assert report.ok, render_text(report)
         assert report.files_scanned > 100
+        # one whole-program graph, and it really is whole-program
+        (graph,) = built["build_call_graph"]
+        assert graph.edge_count > 300
+        assert graph.registries

@@ -1,36 +1,21 @@
-"""Tests for ``repro lint --deep``: the whole-program taint analysis.
+"""Tests for the whole-program taint analysis (T001) and fork safety.
 
 Fixture packages are written under ``tmp_path`` (with ``__init__.py``
 files so the module indexer derives real dotted names) and indexed with
-the same ``build_index`` the CLI uses.  The suite pins the call-graph
-resolution cases the engine promises (cycles, re-exports, registry
-factories, method dispatch, deferred imports), the exact taint-path
-message format, the fork-safety F-rules, the baseline drift gate, and
-the CLI exit codes -- plus the self-check that the repository's own
-tree is clean against the committed baseline.
+the same ``build_index`` ``repro lint`` uses.  The suite pins the
+call-graph resolution cases the engine promises (cycles, re-exports,
+registry factories, method dispatch, deferred imports), the exact
+taint-path message format, the fork-safety F-rules and their
+suppressions.  The repository self-check lives in ``test_lint.py``.
 """
 
-import pathlib
 import textwrap
 
-import pytest
-
-from repro.lint.deep import (
-    BASELINE_KIND,
-    BaselineError,
-    diff_baseline,
-    load_baseline,
-    render_baseline,
-    run_deep_analysis,
-    write_baseline,
-)
+from repro.lint.deep import run_lint
 from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.modindex import build_index
 from repro.lint.deep.taint import collect_seeds, trace_taint_paths
-from repro.lint.cli import main as lint_main
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def build(root, files):
@@ -506,6 +491,12 @@ class TestTaint:
         assert result.paths == []
         assert result.suppressed_seeds == 1
 
+    def test_one_pass_reports_the_taint_path(self, tmp_path):
+        build(tmp_path, TWO_HOP_TAINT)
+        report = run_lint([tmp_path])
+        assert [f.code for f in report.findings] == ["T001"]
+        assert report.findings[0].path.endswith("pkg/sim/engine.py")
+
     def test_root_call_site_suppression_clears_the_finding(self, tmp_path):
         files = dict(TWO_HOP_TAINT)
         files["pkg/sim/engine.py"] = """
@@ -515,12 +506,9 @@ class TestTaint:
                 return decorate()  # reprolint: disable=T001
             """
         build(tmp_path, files)
-        result = run_deep_analysis(
-            [tmp_path], baseline_path=tmp_path / "baseline.json"
-        )
-        assert result.report.ok
-        assert result.fingerprints == set()
-        assert result.report.suppressed == 1
+        report = run_lint([tmp_path])
+        assert report.ok
+        assert report.suppressed == 1
 
 
 # ----------------------------------------------------------------------
@@ -599,139 +587,3 @@ class TestForkSafety:
             },
         )
         assert check_fork_safety(index) == []
-
-
-# ----------------------------------------------------------------------
-# Baseline snapshot
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_write_load_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, {"T001|b|wall_clock|x", "T001|a|env_read|y"})
-        assert load_baseline(path) == {
-            "T001|a|env_read|y",
-            "T001|b|wall_clock|x",
-        }
-        # rendering is canonical: same set, same bytes
-        assert path.read_text() == render_baseline(
-            ["T001|b|wall_clock|x", "T001|a|env_read|y"]
-        )
-        assert BASELINE_KIND in path.read_text()
-
-    def test_diff_separates_new_from_stale(self):
-        new, stale = diff_baseline({"a", "b"}, {"b", "c"})
-        assert new == ["a"]
-        assert stale == ["c"]
-
-    def test_load_rejects_foreign_document(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"kind": "something_else", "entries": []}\n')
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-
-# ----------------------------------------------------------------------
-# The driver and its drift gate
-# ----------------------------------------------------------------------
-
-
-class TestDeepAnalysis:
-    def test_missing_baseline_reports_every_path_as_new(self, tmp_path):
-        build(tmp_path, TWO_HOP_TAINT)
-        result = run_deep_analysis(
-            [tmp_path], baseline_path=tmp_path / "baseline.json"
-        )
-        assert not result.report.ok
-        assert [f.code for f in result.report.findings] == ["T001"]
-        assert result.accepted == 0
-        assert len(result.new) == 1
-
-    def test_update_baseline_round_trips_byte_identical(self, tmp_path):
-        build(tmp_path, TWO_HOP_TAINT)
-        baseline = tmp_path / "baseline.json"
-        first = run_deep_analysis(
-            [tmp_path], baseline_path=baseline, update_baseline=True
-        )
-        assert first.updated and first.report.ok
-        snapshot = baseline.read_bytes()
-        # accepted now, no drift
-        second = run_deep_analysis([tmp_path], baseline_path=baseline)
-        assert second.report.ok
-        assert second.new == [] and second.stale == []
-        assert second.accepted == 1
-        # re-updating an unchanged tree must not move a byte
-        run_deep_analysis(
-            [tmp_path], baseline_path=baseline, update_baseline=True
-        )
-        assert baseline.read_bytes() == snapshot
-
-    def test_stale_baseline_entry_surfaces_as_b001(self, tmp_path):
-        (tmp_path / "pkg").mkdir()
-        (tmp_path / "pkg" / "clean.py").write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, {"T001|gone.func|wall_clock|time.time"})
-        result = run_deep_analysis([tmp_path], baseline_path=baseline)
-        assert not result.report.ok
-        assert [f.code for f in result.report.findings] == ["B001"]
-        assert "T001|gone.func|wall_clock|time.time" in (
-            result.report.findings[0].message
-        )
-
-
-class TestDeepCli:
-    def test_drift_then_update_then_clean(self, tmp_path, capsys):
-        build(tmp_path, TWO_HOP_TAINT)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(["--deep", "--baseline", baseline, str(tmp_path)]) == 1
-        )
-        out = capsys.readouterr().out
-        assert "T001" in out and "+ new:" in out
-        assert (
-            lint_main(
-                [
-                    "--deep",
-                    "--baseline",
-                    baseline,
-                    "--update-baseline",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        assert (
-            lint_main(["--deep", "--baseline", baseline, str(tmp_path)]) == 0
-        )
-        assert "no drift against baseline" in capsys.readouterr().out
-
-    def test_select_with_deep_is_a_usage_error(self, capsys):
-        assert lint_main(["--deep", "--select", "D"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
-
-    def test_baseline_flags_require_deep(self, capsys):
-        assert lint_main(["--update-baseline"]) == 2
-        assert "require --deep" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Self-check: the repository tree against its committed baseline
-# ----------------------------------------------------------------------
-
-
-class TestSelfCheck:
-    def test_repo_tree_has_no_drift_against_committed_baseline(self):
-        result = run_deep_analysis(
-            [REPO / "src"],
-            baseline_path=REPO / "lint-deep-baseline.json",
-        )
-        assert result.report.ok, [
-            finding.render() for finding in result.report.findings
-        ]
-        assert result.new == [] and result.stale == []
-        # the graph really is whole-program, not a trivial index
-        assert result.call_graph is not None
-        assert result.call_graph.edge_count > 300
-        assert result.call_graph.registries

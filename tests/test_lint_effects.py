@@ -1,26 +1,20 @@
-"""Tests for ``repro lint --effects``: effect inference and contracts.
+"""Tests for effect inference and the E/M/S contract rules.
 
-Fixture packages are written under ``tmp_path`` exactly like the
-``--deep`` suite and indexed with the same ``build_index`` the CLI
-uses.  The suite pins the effect-summary semantics (aliases, augmented
+Fixture packages are written under ``tmp_path`` exactly like the taint
+suite and indexed with the same ``build_index`` ``repro lint`` uses.
+The suite pins the effect-summary semantics (aliases, augmented
 subscripts, comprehensions, lambdas, ``functools.partial``, numpy
 in-place operations, registry dispatch), every E/M/S contract rule with
 its fingerprint and call-chain message, the H001 alias blind spot the
-new tier closes, the AST disk cache, the CLI exit-code contract, and
-the self-check that the repository's own tree is clean against the
-committed effects baseline.
+E rules close, the CLI exit-code contract, and a guard that the
+repository's own backend mutations are visible to the analysis.
 """
 
 import pathlib
 import textwrap
 
-import pytest
-
 from repro.lint.cli import main as lint_main
-from repro.lint.deep import (
-    ModuleCache,
-    run_effects_analysis,
-)
+from repro.lint.deep import run_lint
 from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.effects import infer_effects, witness_chain
@@ -733,74 +727,6 @@ class TestSpecContracts:
 
 
 # ----------------------------------------------------------------------
-# The AST disk cache
-# ----------------------------------------------------------------------
-
-
-class TestModuleCache:
-    FILES = {
-        "pkg/a.py": "def f():\n    return 1\n",
-        "pkg/b.py": "def g():\n    return 2\n",
-    }
-
-    def test_second_build_hits(self, tmp_path):
-        build(tmp_path, self.FILES)
-        cache = ModuleCache(tmp_path / "cache")
-        first = build_index([tmp_path], cache=cache)
-        assert cache.hits == 0 and cache.misses > 0
-        misses = cache.misses
-        second = build_index([tmp_path], cache=cache)
-        assert cache.hits == misses
-        assert set(first.functions) == set(second.functions)
-
-    def test_edited_file_misses_again(self, tmp_path):
-        build(tmp_path, self.FILES)
-        cache = ModuleCache(tmp_path / "cache")
-        build_index([tmp_path], cache=cache)
-        (tmp_path / "pkg" / "a.py").write_text("def f():\n    return 3\n")
-        cache.hits = cache.misses = 0
-        build_index([tmp_path], cache=cache)
-        assert cache.misses == 1  # only the edited module re-parses
-        assert cache.hits >= 2  # b.py and the __init__ chain
-
-    def test_corrupt_entry_falls_back_to_parsing(self, tmp_path):
-        build(tmp_path, self.FILES)
-        cache = ModuleCache(tmp_path / "cache")
-        build_index([tmp_path], cache=cache)
-        source = (tmp_path / "pkg" / "a.py").read_text()
-        entry = cache._entry_path(ModuleCache.key_for(source))
-        entry.write_bytes(b"not a pickle")
-        cache.hits = cache.misses = 0
-        index = build_index([tmp_path], cache=cache)
-        assert "pkg.a" in index.modules
-        assert cache.misses == 1
-
-    def test_cached_run_equals_uncached_run(self, tmp_path):
-        build(
-            tmp_path,
-            {
-                "pkg/backend.py": backend_module("""
-                    class BadBackend(EngineBackend):
-                        def observe(self, snapshot, round_index):
-                            engine = self.engine
-                            engine._positions[0] = 3
-                    """),
-            },
-        )
-        cache = ModuleCache(tmp_path / "cache")
-        baseline = tmp_path / "baseline.json"
-        cold = run_effects_analysis([tmp_path], baseline_path=baseline)
-        warm = run_effects_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        hot = run_effects_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        assert cache.hits > 0
-        assert cold.fingerprints == warm.fingerprints == hot.fingerprints
-
-
-# ----------------------------------------------------------------------
 # Driver and CLI
 # ----------------------------------------------------------------------
 
@@ -815,66 +741,6 @@ class TestEffectsCli:
             """),
     }
 
-    def test_drift_then_update_then_clean(self, tmp_path, capsys):
-        build(tmp_path, self.VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(["--effects", "--baseline", baseline, str(tmp_path)])
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "E001" in out and "+ new:" in out
-        assert "effects analysis:" in out
-        assert (
-            lint_main(
-                [
-                    "--effects",
-                    "--baseline",
-                    baseline,
-                    "--update-baseline",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        assert (
-            lint_main(["--effects", "--baseline", baseline, str(tmp_path)])
-            == 0
-        )
-        assert "no drift against baseline" in capsys.readouterr().out
-
-    def test_fixing_the_violation_reports_stale(self, tmp_path, capsys):
-        build(tmp_path, self.VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        lint_main(
-            [
-                "--effects",
-                "--baseline",
-                baseline,
-                "--update-baseline",
-                str(tmp_path),
-            ]
-        )
-        capsys.readouterr()
-        (tmp_path / "pkg" / "backend.py").write_text(
-            textwrap.dedent(BACKEND_PREAMBLE).lstrip("\n")
-        )
-        assert (
-            lint_main(["--effects", "--baseline", baseline, str(tmp_path)])
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "B001" in out and "- stale:" in out
-
-    def test_deep_and_effects_together_is_a_usage_error(self, capsys):
-        assert lint_main(["--deep", "--effects"]) == 2
-        assert "separate passes" in capsys.readouterr().err
-
-    def test_select_with_effects_is_a_usage_error(self, capsys):
-        assert lint_main(["--effects", "--select", "E"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
-
     def test_internal_error_exits_two(self, tmp_path, capsys, monkeypatch):
         build(tmp_path, {"pkg/a.py": "x = 1\n"})
 
@@ -882,47 +748,15 @@ class TestEffectsCli:
             raise RuntimeError("analyzer exploded")
 
         monkeypatch.setattr(
-            "repro.lint.deep.run_effects_analysis", boom
+            "repro.lint.deep.analysis.infer_effects", boom
         )
-        assert lint_main(["--effects", str(tmp_path)]) == 2
+        assert lint_main([str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "internal error" in err and "analyzer exploded" in err
 
-    def test_no_cache_skips_the_cache_dir(self, tmp_path, capsys, monkeypatch):
-        build(tmp_path, {"pkg/a.py": "x = 1\n"})
-        monkeypatch.chdir(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                [
-                    "--effects",
-                    "--no-cache",
-                    "--baseline",
-                    baseline,
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert not (tmp_path / ".lint-cache").exists()
-        assert (
-            lint_main(
-                ["--effects", "--baseline", baseline, str(tmp_path)]
-            )
-            == 0
-        )
-        assert (tmp_path / ".lint-cache").is_dir()
-        capsys.readouterr()
-
     def test_json_report_shape(self, tmp_path, capsys):
         build(tmp_path, self.VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                ["--effects", "--json", "--baseline", baseline, str(tmp_path)]
-            )
-            == 1
-        )
+        assert lint_main(["--json", str(tmp_path)]) == 1
         import json
 
         data = json.loads(capsys.readouterr().out)
@@ -932,7 +766,7 @@ class TestEffectsCli:
     def test_list_rules_mentions_whole_program_families(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("E001", "E003", "M001", "S001", "S002", "B001"):
+        for code in ("E001", "E003", "M001", "S001", "S002"):
             assert code in out
 
 
@@ -949,29 +783,17 @@ class TestSuppression:
                     """,
             },
         )
-        result = run_effects_analysis(
-            [tmp_path], baseline_path=tmp_path / "baseline.json"
-        )
-        assert result.report.ok
-        assert result.report.suppressed == 1
+        report = run_lint([tmp_path])
+        assert report.ok
+        assert report.suppressed == 1
 
 
 # ----------------------------------------------------------------------
-# Self-check: the repository tree against its committed baseline
+# Non-vacuity of the repository self-check (``test_lint.py``)
 # ----------------------------------------------------------------------
 
 
 class TestSelfCheck:
-    def test_repo_tree_has_no_drift_against_committed_baseline(self):
-        result = run_effects_analysis(
-            [REPO / "src"],
-            baseline_path=REPO / "lint-effects-baseline.json",
-        )
-        assert result.report.ok, [
-            finding.render() for finding in result.report.findings
-        ]
-        assert result.new == [] and result.stale == []
-
     def test_repo_phase_mutations_are_visible_to_the_analysis(self):
         # Guard against a vacuously clean self-check: the reference
         # backend's allowed mutations must actually be in the summaries.

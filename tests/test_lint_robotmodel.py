@@ -1,30 +1,24 @@
-"""Tests for ``repro lint --robot-model``: the A-rule conformance tier.
+"""Tests for the A rules: robot-model conformance of algorithm classes.
 
-Fixture packages are written under ``tmp_path`` exactly like the
-``--deep``/``--effects`` suites and indexed with the same
-``build_index`` the CLI uses.  The suite pins every A rule with its
+Fixture packages are written under ``tmp_path`` exactly like the taint
+and effects suites and indexed with the same ``build_index``
+``repro lint`` uses.  The suite pins every A rule with its
 location-free fingerprint and witness-chain message, the exemptions
 that keep honest algorithms clean (declared state reads, round-reset
-scratch, bool-valued fields, GLOBAL algorithms), the baseline
-round-trip byte-for-byte, stale ``B001`` entries, inline suppression,
-the ``ANALYZER_VERSION`` cache key, the merged ``--all`` CLI mode, the
-self-check of the repository tree against its committed baseline, and
-the static/runtime cross-check: an algorithm with hidden persistent
-state is flagged by ``A001`` *and* demonstrably under-audited by the
-engine's runtime memory accounting.
+scratch, bool-valued fields, GLOBAL algorithms), inline suppression,
+the CLI report, a guard that the repository's algorithm classes are
+actually discovered, and the static/runtime cross-check: an algorithm
+with hidden persistent state is flagged by ``A001`` *and* demonstrably
+under-audited by the engine's runtime memory accounting.
 """
 
-import ast
 import dataclasses
 import json
 import pathlib
 import textwrap
 
 from repro.lint.cli import main as lint_main
-from repro.lint.deep import (
-    ModuleCache,
-    run_robot_model_analysis,
-)
+from repro.lint.deep import run_lint
 from repro.lint.deep.callgraph import _Resolver, build_call_graph
 from repro.lint.deep.effects import infer_effects
 from repro.lint.deep.modindex import build_index
@@ -433,11 +427,11 @@ class TestA005ObservationMutation:
 
 
 # ----------------------------------------------------------------------
-# Suppression, baseline and cache
+# Suppression
 # ----------------------------------------------------------------------
 
 
-class TestSuppressionAndBaseline:
+class TestSuppression:
     VIOLATION = with_algos("""
         class SneakyCounter(RobotAlgorithm):
             def decide(self, observation):
@@ -453,90 +447,9 @@ class TestSuppressionAndBaseline:
                     return None
             """)
         build(tmp_path, files)
-        result = run_robot_model_analysis(
-            [tmp_path], baseline_path=tmp_path / "baseline.json"
-        )
-        assert result.report.ok
-        assert result.report.suppressed == 1
-
-    def test_update_baseline_is_byte_stable(self, tmp_path):
-        build(tmp_path, self.VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        run_robot_model_analysis(
-            [tmp_path], baseline_path=baseline, update_baseline=True
-        )
-        first = baseline.read_bytes()
-        run_robot_model_analysis(
-            [tmp_path], baseline_path=baseline, update_baseline=True
-        )
-        assert baseline.read_bytes() == first
-        result = run_robot_model_analysis(
-            [tmp_path], baseline_path=baseline
-        )
-        assert result.report.ok and result.accepted == 1
-
-    def test_fixed_violation_reports_stale_entry(self, tmp_path):
-        build(tmp_path, self.VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        run_robot_model_analysis(
-            [tmp_path], baseline_path=baseline, update_baseline=True
-        )
-        (tmp_path / "pkg" / "algos.py").write_text(
-            textwrap.dedent(
-                """
-                from pkg.base import RobotAlgorithm
-
-
-                class SneakyCounter(RobotAlgorithm):
-                    def decide(self, observation):
-                        return None
-                """
-            ).lstrip("\n")
-        )
-        result = run_robot_model_analysis([tmp_path], baseline_path=baseline)
-        assert not result.report.ok
-        assert result.stale == ["A001|pkg.algos.SneakyCounter.decide|_visits"]
-        assert result.report.findings[0].code == "B001"
-
-    def test_cache_reuse_is_semantics_preserving(self, tmp_path):
-        build(tmp_path, self.VIOLATION)
-        cache = ModuleCache(tmp_path / "cache")
-        baseline = tmp_path / "baseline.json"
-        cold = run_robot_model_analysis([tmp_path], baseline_path=baseline)
-        warm = run_robot_model_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        hot = run_robot_model_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        assert cache.hits > 0
-        assert cold.fingerprints == warm.fingerprints == hot.fingerprints
-
-
-class TestAnalyzerVersionCacheKey:
-    def test_key_mixes_the_analyzer_generation(self, monkeypatch):
-        import repro.lint.deep.cache as cache_module
-
-        before = ModuleCache.key_for("x = 1\n")
-        monkeypatch.setattr(cache_module, "ANALYZER_VERSION", 999)
-        assert ModuleCache.key_for("x = 1\n") != before
-
-    def test_version_bump_invalidates_stored_entries(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.lint.deep.cache as cache_module
-
-        cache = ModuleCache(tmp_path / "cache")
-        source = "x = 1\n"
-        cache.store(source, ast.parse(source))
-        assert cache.load(source) is not None
-        monkeypatch.setattr(
-            cache_module,
-            "ANALYZER_VERSION",
-            cache_module.ANALYZER_VERSION + 1,
-        )
-        assert cache.load(source) is None
-        assert cache.misses == 1
+        report = run_lint([tmp_path])
+        assert report.ok
+        assert report.suppressed == 1
 
 
 # ----------------------------------------------------------------------
@@ -562,150 +475,26 @@ class TestObservationScopeTable:
 
 
 # ----------------------------------------------------------------------
-# CLI: --robot-model and the merged --all mode
+# CLI
 # ----------------------------------------------------------------------
 
 
 class TestRobotModelCli:
     def _write(self, tmp_path):
-        build(tmp_path, TestSuppressionAndBaseline.VIOLATION)
-
-    def test_drift_then_update_then_clean(self, tmp_path, capsys):
-        self._write(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                ["--robot-model", "--baseline", baseline, str(tmp_path)]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "A001" in out and "+ new:" in out
-        assert "robot-model analysis:" in out
-        assert (
-            lint_main(
-                [
-                    "--robot-model",
-                    "--baseline",
-                    baseline,
-                    "--update-baseline",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        assert (
-            lint_main(
-                ["--robot-model", "--baseline", baseline, str(tmp_path)]
-            )
-            == 0
-        )
-        assert "no drift against baseline" in capsys.readouterr().out
+        build(tmp_path, TestSuppression.VIOLATION)
 
     def test_json_report_shape(self, tmp_path, capsys):
         self._write(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                [
-                    "--robot-model",
-                    "--json",
-                    "--baseline",
-                    baseline,
-                    str(tmp_path),
-                ]
-            )
-            == 1
-        )
+        assert lint_main(["--json", str(tmp_path)]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "reprolint_report"
         assert [f["code"] for f in data["findings"]] == ["A001"]
-
-    def test_mode_exclusions(self, capsys):
-        assert lint_main(["--robot-model", "--effects"]) == 2
-        assert "separate passes" in capsys.readouterr().err
-        assert lint_main(["--robot-model", "--select", "A"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
-
-    def test_bad_baseline_file_is_a_usage_error(self, capsys):
-        assert (
-            lint_main(
-                [
-                    "--robot-model",
-                    "--baseline",
-                    str(REPO / "pyproject.toml"),
-                    str(REPO / "src"),
-                ]
-            )
-            == 2
-        )
-        assert "does not parse as JSON" in capsys.readouterr().err
 
     def test_list_rules_mentions_the_a_family(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("A001", "A002", "A003", "A004", "A005"):
             assert code in out
-        assert "--robot-model" in out
-
-
-class TestAllCli:
-    def test_clean_tree_round_trips_through_all_tiers(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        build(tmp_path, {"pkg/a.py": "x = 1\n"})
-        monkeypatch.chdir(tmp_path)
-        assert lint_main(["--all", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        for header in ("== shallow ==", "== deep ==", "== effects ==",
-                       "== robot-model =="):
-            assert header in out
-        assert "robot-model analysis:" in out
-
-    def test_violation_fails_combined_and_json_merges_tiers(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        build(tmp_path, TestSuppressionAndBaseline.VIOLATION)
-        monkeypatch.chdir(tmp_path)
-        assert lint_main(["--all", "--json", str(tmp_path)]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data["kind"] == "reprolint_all_report"
-        assert set(data["tiers"]) == {
-            "shallow",
-            "deep",
-            "effects",
-            "robot_model",
-        }
-        assert data["ok"] is False
-        robot = data["tiers"]["robot_model"]
-        assert robot["ok"] is False
-        assert [f["code"] for f in robot["findings"]] == ["A001"]
-
-    def test_update_baseline_updates_every_tier(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        build(tmp_path, TestSuppressionAndBaseline.VIOLATION)
-        monkeypatch.chdir(tmp_path)
-        assert lint_main(["--all", "--update-baseline", str(tmp_path)]) == 0
-        capsys.readouterr()
-        for name in (
-            "lint-deep-baseline.json",
-            "lint-effects-baseline.json",
-            "lint-robot-baseline.json",
-        ):
-            assert (tmp_path / name).exists()
-        assert lint_main(["--all", str(tmp_path)]) == 0
-
-    def test_all_usage_errors(self, capsys):
-        assert lint_main(["--all", "--robot-model"]) == 2
-        assert "--all already runs every tier" in capsys.readouterr().err
-        assert lint_main(["--all", "--baseline", "x.json"]) == 2
-        assert "each tier's default baseline" in capsys.readouterr().err
-        assert lint_main(["--all", "--select", "A"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
-        assert lint_main(["--update-baseline"]) == 2
-        assert "--robot-model or --all" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -822,34 +611,13 @@ class TestRuntimeCrossCheck:
 
 
 # ----------------------------------------------------------------------
-# Self-check: the repository tree against its committed baseline
+# Non-vacuity of the repository self-check (``test_lint.py``)
 # ----------------------------------------------------------------------
 
 
 class TestSelfCheck:
-    def test_repo_tree_has_no_drift_against_committed_baseline(self):
-        result = run_robot_model_analysis(
-            [REPO / "src"],
-            baseline_path=REPO / "lint-robot-baseline.json",
-        )
-        assert result.report.ok, [
-            finding.render() for finding in result.report.findings
-        ]
-        assert result.new == [] and result.stale == []
-
-    def test_committed_baseline_regenerates_byte_identically(self, tmp_path):
-        regenerated = tmp_path / "regen.json"
-        run_robot_model_analysis(
-            [REPO / "src"],
-            baseline_path=regenerated,
-            update_baseline=True,
-        )
-        assert regenerated.read_bytes() == (
-            REPO / "lint-robot-baseline.json"
-        ).read_bytes()
-
     def test_repo_algorithms_are_actually_discovered(self):
-        # Guard against a vacuously clean self-check: the tier must see
+        # Guard against a vacuously clean self-check: the A rules must see
         # the shipped algorithm classes and their state writes.
         index = build_index([REPO / "src"])
         graph = build_call_graph(index)
