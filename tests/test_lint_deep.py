@@ -6,9 +6,11 @@ the same ``build_index`` ``repro lint`` uses.  The suite pins the
 call-graph resolution cases the engine promises (cycles, re-exports,
 registry factories, method dispatch, deferred imports), the exact
 taint-path message format, the fork-safety F-rules and their
-suppressions.  The repository self-check lives in ``test_lint.py``.
+suppressions, and a zero-finding check of the T and F families over
+``src`` (the whole-tree self-check lives in ``test_lint.py``).
 """
 
+import pathlib
 import textwrap
 
 from repro.lint.deep import run_lint
@@ -16,6 +18,8 @@ from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.modindex import build_index
 from repro.lint.deep.taint import collect_seeds, trace_taint_paths
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def build(root, files):
@@ -587,3 +591,19 @@ class TestForkSafety:
             },
         )
         assert check_fork_safety(index) == []
+
+
+# ----------------------------------------------------------------------
+# Repository self-check of the T and F families
+# ----------------------------------------------------------------------
+
+
+class TestSelfCheck:
+    def test_repo_tree_has_no_drift_against_committed_baseline(self):
+        # The committed baseline was empty, so "no drift" is "zero T/F
+        # findings over src"; the whole-tree check lives in test_lint.py.
+        report = run_lint([REPO / "src"], select=["T", "F"])
+        assert report.ok, [finding.render() for finding in report.findings]
+        # every module under src was indexed, none skipped
+        modules = list((REPO / "src").rglob("*.py"))
+        assert report.files_scanned == len(modules)

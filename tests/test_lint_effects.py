@@ -789,11 +789,20 @@ class TestSuppression:
 
 
 # ----------------------------------------------------------------------
-# Non-vacuity of the repository self-check (``test_lint.py``)
+# Repository self-check of the E/M/S rules, and its non-vacuity
 # ----------------------------------------------------------------------
 
 
 class TestSelfCheck:
+    def test_repo_tree_has_no_drift_against_committed_baseline(self):
+        # The committed baseline was empty, so "no drift" is "zero E/M/S
+        # findings over src"; the whole-tree check lives in test_lint.py.
+        report = run_lint([REPO / "src"], select=["E", "M", "S"])
+        assert report.ok, [finding.render() for finding in report.findings]
+        # every module under src was indexed, none skipped
+        modules = list((REPO / "src").rglob("*.py"))
+        assert report.files_scanned == len(modules)
+
     def test_repo_phase_mutations_are_visible_to_the_analysis(self):
         # Guard against a vacuously clean self-check: the reference
         # backend's allowed mutations must actually be in the summaries.

@@ -18,7 +18,7 @@ import pathlib
 import textwrap
 
 from repro.lint.cli import main as lint_main
-from repro.lint.deep import run_lint
+from repro.lint.deep import analysis, run_lint
 from repro.lint.deep.callgraph import _Resolver, build_call_graph
 from repro.lint.deep.effects import infer_effects
 from repro.lint.deep.modindex import build_index
@@ -497,6 +497,28 @@ class TestRobotModelCli:
             assert code in out
 
 
+class TestAllCli:
+    def test_clean_tree_round_trips_through_all_tiers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # One run covers what the per-tier runs did: the per-file rules
+        # and the whole-program rules on one index, graph and summary.
+        build(tmp_path, {"pkg/a.py": "x = 1\n"})
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        for name in ("build_index", "build_call_graph", "infer_effects"):
+            original = getattr(analysis, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+        assert lint_main([str(tmp_path)]) == 0
+        assert "clean" in capsys.readouterr().out
+        assert calls == ["build_index", "build_call_graph", "infer_effects"]
+
+
 # ----------------------------------------------------------------------
 # Static/runtime cross-check: A001 vs the engine's memory audit
 # ----------------------------------------------------------------------
@@ -611,11 +633,20 @@ class TestRuntimeCrossCheck:
 
 
 # ----------------------------------------------------------------------
-# Non-vacuity of the repository self-check (``test_lint.py``)
+# Repository self-check of the A rules, and its non-vacuity
 # ----------------------------------------------------------------------
 
 
 class TestSelfCheck:
+    def test_repo_tree_has_no_drift_against_committed_baseline(self):
+        # The committed baseline was empty, so "no drift" is "zero A
+        # findings over src"; the whole-tree check lives in test_lint.py.
+        report = run_lint([REPO / "src"], select=["A"])
+        assert report.ok, [finding.render() for finding in report.findings]
+        # every module under src was indexed, none skipped
+        modules = list((REPO / "src").rglob("*.py"))
+        assert report.files_scanned == len(modules)
+
     def test_repo_algorithms_are_actually_discovered(self):
         # Guard against a vacuously clean self-check: the A rules must see
         # the shipped algorithm classes and their state writes.
